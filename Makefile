@@ -21,7 +21,8 @@ bench:
 
 # Benchmark trajectory: the hot-path benchmarks future PRs must not
 # regress — the end-to-end rates (scenario mix, fleet run exact and
-# fast) plus the hot-path microbenchmarks (one cache access, batched
+# fast, warm-memo fleet replays including the 10k-machine placement
+# path) plus the hot-path microbenchmarks (one cache access, batched
 # trace generation, analytic model build) — emitted as committed/
 # diffable JSON (BENCH_fleet.json is the checked-in baseline; CI
 # uploads the current run as an artifact and gates on `benchjson
@@ -33,7 +34,7 @@ bench:
 # stable ns/op.
 bench-json:
 	$(GO) test -run '^$$' -bench 'BenchmarkScenarioMix|BenchmarkFleetRun' -benchtime=1x . > /tmp/bench-fleet.out
-	$(GO) test -run '^$$' -bench 'BenchmarkFleetMultiPolicy|BenchmarkFleetChurn|BenchmarkCacheAccess|BenchmarkTraceGen|BenchmarkModelBuild' -benchtime=1s . >> /tmp/bench-fleet.out
+	$(GO) test -run '^$$' -bench 'BenchmarkFleetMultiPolicy|BenchmarkFleetChurn|BenchmarkFleetMega10k|BenchmarkCacheAccess|BenchmarkTraceGen|BenchmarkModelBuild' -benchtime=1s . >> /tmp/bench-fleet.out
 	$(GO) run ./cmd/benchjson < /tmp/bench-fleet.out > BENCH_fleet.json
 	@rm -f /tmp/bench-fleet.out
 	@cat BENCH_fleet.json

@@ -385,6 +385,29 @@ func BenchmarkFleetChurn(b *testing.B) {
 	b.ReportMetric(float64(len(fleet.Policies())*b.N)/b.Elapsed().Seconds(), "episodes/s")
 }
 
+// BenchmarkFleetMega10k replays the shipped 10,000-machine auto-tier
+// fleet over a warm memo: trace generation, the model estimator's
+// pricing, and three policy episodes on 10k machines, with no
+// simulations. At this pool size machine selection dominates the
+// episodes, so placements/s tracks the placement index directly.
+func BenchmarkFleetMega10k(b *testing.B) {
+	r, def, name := warmFleet(b, "examples/scenarios/fleet-mega-10k.json")
+	var placements int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := fleet.Run(r, name, def)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(rep.Results) != len(fleet.Policies()) {
+			b.Fatal("missing policy results")
+		}
+		placements = (rep.Requests + rep.Backlog) * len(rep.Results)
+	}
+	b.ReportMetric(float64(placements*b.N)/b.Elapsed().Seconds(), "placements/s")
+}
+
 // probeMix is the canonical profiling mix BenchmarkModelBuild harvests
 // from (the fleet fast tier's probeAloneMix shape).
 func probeMix(r *sched.Runner, app *workload.Profile) sched.MixSpec {

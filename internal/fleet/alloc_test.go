@@ -26,23 +26,26 @@ func allocDef(dur float64) *Def {
 }
 
 // simAllocs measures allocations of one full episode (sim construction
-// plus the event loop) over the prebuilt oracle.
+// plus the event loop, released back to the pool as runEpisode does)
+// over the prebuilt oracle.
 func simAllocs(t *testing.T, r *sched.Runner, def *Def, arrivals []loadgen.Arrival, backlog []loadgen.BatchItem, o *oracle) float64 {
 	t.Helper()
 	return testing.AllocsPerRun(10, func() {
 		s := newSim(def, o, PackPartition, arrivals, backlog)
 		s.run()
+		s.release()
 	})
 }
 
 // TestSimRunAllocationFree pins the event loop's allocation behavior:
-// the per-event cost must be zero. Setup allocations (machine array,
-// request states, the preallocated heap) are inherently per-episode,
-// so the pin compares a short trace against one with ~8x the events —
-// the allocation counts must match, proving nothing in the loop
-// allocates per event. The typed heap (no container/heap interface
-// boxing), the requeued head index, and the preallocated heap backing
-// are what this buys.
+// the per-event cost must be zero. Setup buffers (machine pages,
+// request states, event heap, backlog copy, placement index) come from
+// the sim pool and are re-allocated only when a larger episode needs
+// them, so the pin compares a short trace against one with ~8x the
+// events — the allocation counts must match, proving nothing in the
+// loop allocates per event. The typed heap (no container/heap interface
+// boxing), the requeued head index, the request FIFOs threaded through
+// the request states, and the pooled buffers are what this buys.
 func TestSimRunAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under -race")
@@ -73,9 +76,10 @@ func TestSimRunAllocationFree(t *testing.T) {
 	}
 	short := episode(0.02)
 	long := episode(0.16)
+	t.Logf("allocations per episode: %.1f short, %.1f long", short, long)
 	// Identical setup shape at both durations; only the event count
 	// differs. A couple of allocations of slack absorb incidental
-	// amortized growth (machine FIFO queues under heavier load).
+	// amortized growth (a pool buffer re-sized for the longer trace).
 	if long > short+4 {
 		t.Errorf("event loop allocates per event: %.1f allocs on the short trace, %.1f on the ~8x trace", short, long)
 	}

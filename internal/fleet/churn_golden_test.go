@@ -127,3 +127,53 @@ func TestChurnByteIdentity(t *testing.T) {
 		})
 	}
 }
+
+// TestFleetChurn300Golden pins a 300-machine churn fleet — five 64-bit
+// words of machine index, the last partial — at quick scale. The
+// 50-machine goldens fit in one word and the 10k one has no timeline,
+// so this is the report that proves word-crossing placement under
+// failures, drains, hysteresis holds, and batch arrivals. Regenerate
+// (only for an intentional model change) with:
+//
+//	go test ./internal/fleet -run TestFleetChurn300Golden -update-golden
+func TestFleetChurn300Golden(t *testing.T) {
+	s, err := scenario.ParseFile(filepath.Join("testdata", "fleet_churn300.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Fleet.Machines%64 == 0 || s.Fleet.Machines < 4*64 {
+		t.Fatalf("fixture has %d machines; it must span several words and end on a partial one", s.Fleet.Machines)
+	}
+	counts := s.Fleet.EventCounts()
+	if counts.Failures == 0 || counts.Drains == 0 || counts.Ups == 0 || counts.BatchArrivals == 0 || s.Fleet.Hysteresis == 0 {
+		t.Fatalf("fixture no longer mixes failures, drains, ups, batch arrivals, and hysteresis: %+v", counts)
+	}
+	rep, err := fleet.Run(sched.New(sched.Options{Scale: quickScale}), s.Name, s.Fleet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pr := range rep.Results {
+		if pr.MachinesUsed <= 64 {
+			t.Errorf("%s powered only %d machines; the fixture must place past the first word", pr.Policy, pr.MachinesUsed)
+		}
+		if pr.Evicted == 0 {
+			t.Errorf("%s: machine events displaced no jobs", pr.Policy)
+		}
+	}
+
+	got := rep.String()
+	path := filepath.Join("testdata", "fleet_churn300_quick.golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update-golden): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("churn-300 output drifted from golden\n--- want ---\n%s\n--- got ---\n%s", want, got)
+	}
+}

@@ -224,14 +224,16 @@ func RunWith(r *sched.Runner, name string, def *Def, opts RunOpts) (*Report, err
 // runEpisode replays the shared trace under one consolidation policy
 // and aggregates its PolicyResult. Everything it reads — the
 // definition, the oracle, the compiled arrivals and backlog — is
-// immutable for the duration of the run, so concurrent episodes never
-// share mutable state; the tracer and phase accounting are themselves
-// concurrency-safe.
+// immutable for the duration of the run, and each episode holds its
+// pooled sim buffers exclusively until it releases them, so concurrent
+// episodes never share mutable state; the tracer and phase accounting
+// are themselves concurrency-safe.
 func runEpisode(r *sched.Runner, def *Def, o *oracle, pol PolicyName,
 	arrivals []loadgen.Arrival, backlog []loadgen.BatchItem, parent obs.SpanID) (PolicyResult, error) {
 	e0 := time.Now()
 	esp := r.Tracer().Start("episode", parent, obs.String("policy", string(pol)))
 	s := newSim(def, o, pol, arrivals, backlog)
+	defer s.release()
 	makespan := s.run()
 	if s.nextItem < len(s.backlog) || s.requeuedLen() > 0 || s.drained != s.totalItems {
 		esp.End()
@@ -252,8 +254,8 @@ func runEpisode(r *sched.Runner, def *Def, o *oracle, pol PolicyName,
 			esp.End()
 			return PolicyResult{}, fmt.Errorf("fleet: policy %s left request %d unserved", pol, i)
 		}
-		resp := rq.finish - rq.arr.AtSeconds
-		alone := o.alone[rq.arr.App].Seconds
+		resp := rq.finish - arrivals[i].AtSeconds
+		alone := o.alone[arrivals[i].App].Seconds
 		slow = append(slow, resp/alone)
 		if excess := resp - limit*alone; excess > 0 {
 			pr.SLOViolationMin += excess / 60
@@ -267,9 +269,12 @@ func runEpisode(r *sched.Runner, def *Def, o *oracle, pol PolicyName,
 	}
 	if makespan > 0 {
 		var busy float64
-		for mi := range s.machines {
+		for mi := range s.n {
+			if !s.touched(mi) {
+				continue // idle and unused all run: no busy time, no active energy
+			}
 			s.account(mi, makespan)
-			m := &s.machines[mi]
+			m := s.mach(mi)
 			busy += m.busySec
 			if m.used {
 				pr.MachinesUsed++

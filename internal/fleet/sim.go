@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"math"
+	"math/bits"
+	"sync"
 
 	"repro/internal/loadgen"
 )
@@ -99,44 +101,102 @@ func (h *eventHeap) pop() event {
 
 func (s *sim) push(t float64, kind, idx, ver int) { s.events.push(event{t, kind, idx, ver}) }
 
-// machState is one machine of the pool.
+// machState is one machine of the pool. Large fleets hold thousands
+// of these per episode, so the layout is kept compact: the active
+// request's application is read through fgReq, the request queue is a
+// FIFO threaded through reqState.next rather than a slice (queueing
+// never allocates), indices and versions are int32, the flags share
+// one word, and the LRU key (lastFree) lives only in the placement
+// index.
 type machState struct {
-	fgApp string // active request's application ("" = latency slot idle)
-	fgReq int    // active request index
-	fgVer int    // bumps per dispatch/eviction; voids stale fgDone events
-	queue []int  // waiting request indices, FIFO
+	bgApp string // resident batch item's application ("" = none)
 
-	bgApp       string            // resident batch item's application ("" = none)
-	bgItem      loadgen.BatchItem // the resident item (valid while bgApp != "")
-	bgRemaining float64           // iterations left
-	bgRate      float64           // iterations per second at current occupancy
-	bgVer       int
+	fgReq int32 // active request index (-1 = latency slot idle)
+	qHead int32 // first waiting request (valid while qLen > 0)
+	qTail int32 // last waiting request
+	qLen  int32 // waiting requests
+	fgVer int32 // bumps per dispatch/eviction; voids stale fgDone events
+	bgVer int32
 
-	down      bool    // out of service (failure, or a completed drain)
-	draining  bool    // powering down once the active request completes
+	bgIters     float64 // the resident's iteration count at placement (a failure restarts it)
+	bgRemaining float64 // iterations left
+	bgRate      float64 // iterations per second at current occupancy
+
 	holdUntil float64 // hysteresis: skipped by placement until then
-
-	used        bool
-	latencyUsed bool
-	lastFree    float64 // when the machine last became fully idle (LRU)
 
 	accT    float64 // lazy-accounting timestamp
 	socketJ float64
 	wallJ   float64
 	busySec float64
+
+	down        bool // out of service (failure, or a completed drain)
+	draining    bool // powering down once the active request completes
+	used        bool
+	latencyUsed bool
 }
 
+// Machine state lives in fixed-size pages materialized on first touch.
+// An untouched machine is still in its initial state, so an episode's
+// memory follows the machines it uses rather than the pool size:
+// spread-idle on the 10,000-machine example touches ~2,300 machines,
+// pack-partition ~80. Pages never move, so a *machState stays valid
+// while other machines are touched.
+const (
+	pageShift = 8
+	pageSize  = 1 << pageShift
+)
+
+type machPage [pageSize]machState
+
+// resetMachines sizes the sim for n untouched machines, keeping the
+// pages of earlier episodes for reuse, and resets the placement index.
+func (s *sim) resetMachines(n int) {
+	for _, p := range s.pages {
+		if p != nil {
+			s.spare = append(s.spare, p)
+		}
+	}
+	s.n = n
+	s.pages = grow(s.pages, (n+pageSize-1)>>pageShift)
+	clear(s.pages)
+	s.idx.reset(n)
+}
+
+// mach returns machine mi's state, materializing its page in the
+// initial state on first touch.
+func (s *sim) mach(mi int) *machState {
+	p := s.pages[mi>>pageShift]
+	if p == nil {
+		if k := len(s.spare) - 1; k >= 0 {
+			p, s.spare = s.spare[k], s.spare[:k]
+		} else {
+			p = new(machPage)
+		}
+		for i := range p {
+			p[i] = machState{fgReq: -1}
+		}
+		s.pages[mi>>pageShift] = p
+	}
+	return &p[mi&(pageSize-1)]
+}
+
+// touched reports whether machine mi's page was ever materialized; a
+// machine outside every touched page never left its initial state.
+func (s *sim) touched(mi int) bool { return s.pages[mi>>pageShift] != nil }
+
+// reqState is one request's progress; its arrival is arrivals[i].
 type reqState struct {
-	arr    loadgen.Arrival
 	finish float64
+	group  int   // recovery group awaiting this request's re-placement (-1 = none)
+	next   int32 // next waiting request in its machine's queue (-1 = tail)
 	done   bool
-	group  int // recovery group awaiting this request's re-placement (-1 = none)
 }
 
 // requeuedItem is an evicted batch item awaiting re-placement.
 type requeuedItem struct {
-	item  loadgen.BatchItem
-	group int
+	app        string
+	iterations float64
+	group      int
 }
 
 // recGroup tracks one machine event's evictees: when the last one is
@@ -152,7 +212,10 @@ type sim struct {
 	o      *oracle
 	policy PolicyName
 
-	machines []machState
+	arrivals []loadgen.Arrival // the shared trace; reqs[i] tracks arrivals[i]
+	n        int               // machines in the pool
+	pages    []*machPage       // machine state by page; nil until first touched
+	spare    []*machPage       // pages recycled from earlier episodes
 	events   eventHeap
 	reqs     []reqState
 	backlog  []loadgen.BatchItem
@@ -160,6 +223,7 @@ type sim struct {
 	resident int // batch residents currently placed
 	maxBatch int // fleet-wide batch-width cap
 	prefixK  int // util-target's static machine prefix
+	idx      index
 
 	// Churn state (all zero on an event-free run).
 	timeline []Event // def.Events; heap evFleet events index it
@@ -188,28 +252,43 @@ type sim struct {
 	reallocs int
 }
 
+// simPool recycles episode buffers — machine pages, event heap,
+// request states, backlog copy, churn queues, and placement index — so
+// a fleet of 10,000 machines does not allocate megabytes per policy
+// episode. An episode owns its sim exclusively from newSim until
+// release, so concurrent episodes never share a buffer.
+var simPool = sync.Pool{New: func() any { return new(sim) }}
+
 func newSim(def *Def, o *oracle, policy PolicyName, arrivals []loadgen.Arrival, backlog []loadgen.BatchItem) *sim {
-	// Size the heap for its worst concurrent population: every arrival
-	// is pushed up front, plus the timeline, plus scheduled completions
-	// and stale versions per machine. The slack keeps steady-state runs
-	// from ever growing the array; a pathological run just grows it.
-	heapCap := len(arrivals) + len(def.Events) + 4*def.Machines + 16
-	s := &sim{
-		def: def, o: o, policy: policy,
-		machines: make([]machState, def.Machines),
-		events:   make(eventHeap, 0, heapCap),
-		reqs:     make([]reqState, len(arrivals)),
+	s := simPool.Get().(*sim)
+	// Size the heap for the arrivals pushed up front plus the timeline.
+	// Completions scheduled beyond the slack grow it once; the grown
+	// array returns to the pool with the sim, so steady-state episodes
+	// never grow it.
+	heapCap := len(arrivals) + len(def.Events) + 16
+	events := s.events[:0]
+	if cap(events) < heapCap {
+		events = make(eventHeap, 0, heapCap)
+	}
+	*s = sim{
+		def: def, o: o, policy: policy, arrivals: arrivals,
+		pages:  s.pages,
+		spare:  s.spare,
+		events: events,
+		reqs:   grow(s.reqs, len(arrivals)),
 		// Each policy's sim owns its backlog: timeline events append to
 		// and cancel from it, and the trace is shared across policies.
-		backlog:  append([]loadgen.BatchItem(nil), backlog...),
-		maxBatch: def.batchWidth(),
+		backlog:     append(s.backlog[:0], backlog...),
+		maxBatch:    def.batchWidth(),
+		idx:         s.idx,
+		requeued:    s.requeued[:0],
+		pendingReqs: s.pendingReqs[:0],
+		pendScratch: s.pendScratch[:0],
+		groups:      s.groups[:0],
 	}
-	for i := range s.machines {
-		s.machines[i].lastFree = -1
-		s.machines[i].fgReq = -1
-	}
+	s.resetMachines(def.Machines)
 	for i, a := range arrivals {
-		s.reqs[i] = reqState{arr: a, group: -1}
+		s.reqs[i] = reqState{group: -1}
 		s.push(a.AtSeconds, evArrival, i, 0)
 	}
 	s.timeline = def.Events
@@ -238,22 +317,33 @@ func newSim(def *Def, o *oracle, policy PolicyName, arrivals []loadgen.Arrival, 
 	return s
 }
 
+// release returns the sim's buffers to the pool; s must not be used
+// afterwards.
+func (s *sim) release() {
+	s.def, s.o, s.arrivals, s.timeline = nil, nil, nil, nil
+	simPool.Put(s)
+}
+
 // account integrates energy and busy time on machine mi up to now and
 // advances the batch resident's progress at the current rate.
 func (s *sim) account(mi int, now float64) {
-	m := &s.machines[mi]
+	m := s.mach(mi)
 	dt := now - m.accT
 	if dt <= 0 {
 		m.accT = now
 		return
 	}
-	sw, ww := s.o.powerState(m.fgApp, m.bgApp)
+	fgApp := ""
+	if m.fgReq >= 0 {
+		fgApp = s.arrivals[m.fgReq].App
+	}
+	sw, ww := s.o.powerState(fgApp, m.bgApp)
 	if m.down {
 		sw, ww = 0, 0 // powered off: no idle draw while out of service
 	}
 	m.socketJ += sw * dt
 	m.wallJ += ww * dt
-	if m.fgApp != "" || m.bgApp != "" {
+	if m.fgReq >= 0 || m.bgApp != "" {
 		m.busySec += dt
 	}
 	if m.bgApp != "" {
@@ -268,28 +358,29 @@ func (s *sim) account(mi int, now float64) {
 // setBgRate switches the resident's accrual rate (after account) and
 // reschedules its completion event.
 func (s *sim) setBgRate(mi int, rate, now float64) {
-	m := &s.machines[mi]
+	m := s.mach(mi)
 	m.bgRate = rate
 	m.bgVer++
 	if rate > 0 {
-		s.push(now+m.bgRemaining/rate, evBgDone, mi, m.bgVer)
+		s.push(now+m.bgRemaining/rate, evBgDone, mi, int(m.bgVer))
 	}
 }
 
 // dispatch starts request ri on machine mi at time now.
 func (s *sim) dispatch(ri, mi int, now float64) {
 	s.account(mi, now)
-	m := &s.machines[mi]
+	m := s.mach(mi)
 	rq := &s.reqs[ri]
 	if rq.group >= 0 {
 		// An evicted request starting service is recovered.
 		s.resolveReplace(rq.group, now)
 		rq.group = -1
 	}
-	app := rq.arr.App
-	m.fgApp, m.fgReq = app, ri
+	app := s.arrivals[ri].App
+	m.fgReq = int32(ri)
 	m.fgVer++
 	m.used, m.latencyUsed = true, true
+	s.reindex(mi)
 
 	service := s.o.alone[app].Seconds
 	if m.bgApp != "" {
@@ -299,40 +390,44 @@ func (s *sim) dispatch(ri, mi int, now float64) {
 		s.reallocs += p.Reallocs
 		s.setBgRate(mi, p.BgRate, now)
 	}
-	s.push(now+service, evFgDone, mi, m.fgVer)
+	s.push(now+service, evFgDone, mi, int(m.fgVer))
 }
 
 func (s *sim) onFgDone(mi, ver int, now float64) {
-	m := &s.machines[mi]
-	if ver != m.fgVer || m.fgApp == "" {
+	m := s.mach(mi)
+	if ver != int(m.fgVer) || m.fgReq < 0 {
 		return // the request was evicted by a failure; this completion is void
 	}
 	s.account(mi, now)
 	r := &s.reqs[m.fgReq]
 	r.finish, r.done = now, true
-	m.fgApp, m.fgReq = "", -1
+	m.fgReq = -1
 	if m.draining {
 		// The deferred maintenance power-down: the queue and resident
 		// were migrated at the drain event, so the machine is empty.
 		m.draining = false
 		m.down = true
+		s.reindex(mi)
 		return
 	}
 	if m.bgApp != "" {
 		s.setBgRate(mi, s.o.aloneRate(m.bgApp), now)
 	} else {
-		m.lastFree = now
+		s.idx.lastFree[mi] = now
 	}
-	if len(m.queue) > 0 {
-		ri := m.queue[0]
-		m.queue = m.queue[1:]
-		s.dispatch(ri, mi, now)
+	if m.qLen > 0 {
+		ri := int(m.qHead)
+		m.qHead = s.reqs[ri].next
+		m.qLen--
+		s.dispatch(ri, mi, now) // reindexes mi
+		return
 	}
+	s.reindex(mi)
 }
 
 func (s *sim) onBgDone(mi, ver int, now float64) {
-	m := &s.machines[mi]
-	if ver != m.bgVer {
+	m := s.mach(mi)
+	if ver != int(m.bgVer) {
 		return // rate changed since this event was scheduled
 	}
 	s.account(mi, now)
@@ -341,9 +436,10 @@ func (s *sim) onBgDone(mi, ver int, now float64) {
 	s.resident--
 	s.drained++
 	s.drainT = now
-	if m.fgApp == "" {
-		m.lastFree = now
+	if m.fgReq < 0 {
+		s.idx.lastFree[mi] = now
 	}
+	s.reindex(mi)
 }
 
 func (s *sim) onArrival(ri int, now float64) {
@@ -355,7 +451,7 @@ func (s *sim) onArrival(ri int, now float64) {
 // down or draining, only possible mid-timeline) it pends until the
 // next machine-up.
 func (s *sim) placeRequest(ri int, now float64) {
-	mi, rejected := s.selectMachine(s.reqs[ri].arr.App, now)
+	mi, rejected := s.selectMachine(s.arrivals[ri].App, now)
 	if rejected {
 		s.rejects++
 	}
@@ -363,41 +459,35 @@ func (s *sim) placeRequest(ri int, now float64) {
 		s.pendingReqs = append(s.pendingReqs, ri)
 		return
 	}
-	m := &s.machines[mi]
-	if m.fgApp == "" {
+	m := s.mach(mi)
+	if m.fgReq < 0 {
 		s.dispatch(ri, mi, now)
 	} else {
-		m.queue = append(m.queue, ri)
+		s.reqs[ri].next = -1
+		if m.qLen == 0 {
+			m.qHead = int32(ri)
+		} else {
+			s.reqs[m.qTail].next = int32(ri)
+		}
+		m.qTail = int32(ri)
+		m.qLen++
+		s.reindex(mi)
 	}
-}
-
-// fgFree reports whether machine mi can start a request immediately.
-func (s *sim) fgFree(mi int) bool {
-	m := &s.machines[mi]
-	return m.fgApp == "" && len(m.queue) == 0
-}
-
-// up reports whether machine mi is in service (not down, not
-// draining). avail additionally requires the hysteresis hold to have
-// expired — the predicate every preferred placement tier uses; up-but-
-// held machines are a last resort only. On an event-free run both are
-// always true, so every tier below behaves exactly as it did without a
-// timeline.
-func (s *sim) up(mi int) bool {
-	m := &s.machines[mi]
-	return !m.down && !m.draining
-}
-
-func (s *sim) avail(mi int, now float64) bool {
-	return s.up(mi) && s.machines[mi].holdUntil <= now
 }
 
 // selectMachine applies the consolidation policy to an arriving
 // request and returns the chosen machine (and, for pack-partition,
 // whether any co-location was rejected by the partition check).
-// -1 means no machine is in service at all.
+// -1 means no machine is in service at all. Every tier reads the
+// placement index; "available" is in service (not down, not draining)
+// with any hysteresis hold expired — the predicate every preferred
+// tier uses, held machines being a last resort only. On an event-free
+// run every machine stays available, so every tier behaves exactly as
+// it did without a timeline.
 func (s *sim) selectMachine(app string, now float64) (int, bool) {
-	avail := func(mi int) bool { return s.avail(mi, now) }
+	s.releaseHolds(now)
+	x := &s.idx
+	n := s.n
 	switch s.policy {
 	case SpreadIdle:
 		// Fully idle machine, least-recently-used first; then the
@@ -405,20 +495,16 @@ func (s *sim) selectMachine(app string, now float64) (int, bool) {
 		// a batch resident are avoided entirely — spread-idle is the
 		// never-co-locate baseline — unless every machine has one
 		// (batch_width >= machines, an operator choice).
-		if mi := s.pickLRU(func(mi int) bool {
-			return avail(mi) && s.fgFree(mi) && s.machines[mi].bgApp == ""
-		}); mi >= 0 {
+		if mi := x.lruIdle.min(); mi >= 0 {
 			return mi, false
 		}
-		if mi := s.shortestQueueOK(func(mi int) bool {
-			return avail(mi) && s.machines[mi].bgApp == ""
-		}); mi >= 0 {
+		if mi := s.shortestQueue(setAvailNoBg, n, nil); mi >= 0 {
 			return mi, false
 		}
-		if mi := s.shortestQueueOK(avail); mi >= 0 {
+		if mi := s.shortestQueue(setAvail, n, nil); mi >= 0 {
 			return mi, false
 		}
-		return s.shortestQueueOK(s.up), false
+		return s.shortestQueue(setUp, n, nil), false
 
 	case PackPartition:
 		// Prefer co-locating with a resident that passes the partition
@@ -430,175 +516,128 @@ func (s *sim) selectMachine(app string, now float64) (int, bool) {
 		// an unchecked queue. An arrival counts as rejected only when
 		// the check actually spilled it — it skipped a failing resident
 		// and no passing resident took it.
-		sawFailing := false
 		limit := s.def.slowdownLimit()
 		compatible := func(mi int) bool {
-			bg := s.machines[mi].bgApp
+			bg := s.mach(mi).bgApp
 			return bg == "" || s.o.pair[pairKey(app, bg)].FgSlowdown <= limit
 		}
-		for mi := range s.machines {
-			m := &s.machines[mi]
-			if !avail(mi) || !s.fgFree(mi) || m.bgApp == "" {
-				continue
+		rejected := false
+		coloc := x.set(setColoc)
+		for w := range coloc {
+			for v := coloc[w]; v != 0; v &= v - 1 {
+				mi := w<<6 | bits.TrailingZeros64(v)
+				if compatible(mi) {
+					return mi, false
+				}
+				rejected = true
 			}
-			if s.o.pair[pairKey(app, m.bgApp)].FgSlowdown <= limit {
-				return mi, false
-			}
-			sawFailing = true
 		}
-		rejected := sawFailing
-		if mi := s.pickIndex(func(mi int) bool {
-			return avail(mi) && s.fgFree(mi) && s.machines[mi].bgApp == "" && s.machines[mi].used
-		}); mi >= 0 {
+		if mi := x.first(setIdleUsed, n); mi >= 0 {
 			return mi, rejected
 		}
-		if mi := s.pickIndex(func(mi int) bool {
-			return avail(mi) && s.fgFree(mi) && s.machines[mi].bgApp == ""
-		}); mi >= 0 {
+		if mi := x.first(setIdle, n); mi >= 0 {
 			return mi, rejected
 		}
-		if mi := s.shortestQueueOK(func(mi int) bool {
-			return avail(mi) && compatible(mi)
-		}); mi >= 0 {
+		if mi := s.shortestQueue(setAvail, n, compatible); mi >= 0 {
 			return mi, rejected
 		}
-		if mi := s.shortestQueueOK(avail); mi >= 0 {
+		if mi := s.shortestQueue(setAvail, n, nil); mi >= 0 {
 			return mi, rejected
 		}
-		return s.shortestQueueOK(s.up), rejected
+		return s.shortestQueue(setUp, n, nil), rejected
 
 	default: // UtilTarget
 		// Everything lands inside the statically provisioned prefix,
 		// fullest machines first, with no partition check — the
 		// strawman whose tail the check exists to protect. A fully
 		// down prefix spills outside it rather than stalling.
-		if mi := s.pickIndex(func(mi int) bool {
-			return mi < s.prefixK && avail(mi) && s.fgFree(mi) && s.machines[mi].bgApp != ""
-		}); mi >= 0 {
+		if mi := x.first(setColoc, s.prefixK); mi >= 0 {
 			return mi, false
 		}
-		if mi := s.pickIndex(func(mi int) bool {
-			return mi < s.prefixK && avail(mi) && s.fgFree(mi)
-		}); mi >= 0 {
+		if mi := x.first(setFree, s.prefixK); mi >= 0 {
 			return mi, false
 		}
-		if mi := s.shortestQueueOK(func(mi int) bool {
-			return mi < s.prefixK && avail(mi)
-		}); mi >= 0 {
+		if mi := s.shortestQueue(setAvail, s.prefixK, nil); mi >= 0 {
 			return mi, false
 		}
-		if mi := s.shortestQueueOK(avail); mi >= 0 {
+		if mi := s.shortestQueue(setAvail, n, nil); mi >= 0 {
 			return mi, false
 		}
-		return s.shortestQueueOK(s.up), false
+		return s.shortestQueue(setUp, n, nil), false
 	}
 }
 
-// pickIndex returns the lowest-index machine satisfying ok, or -1.
-func (s *sim) pickIndex(ok func(int) bool) int {
-	for mi := range s.machines {
-		if ok(mi) {
+// selectBatch picks the machine for the next queued backlog item, or
+// -1 when no batch slot is eligible. A batch slot only accepts work on
+// an available machine whose latency slot is idle with an empty queue
+// and that hosts no resident (the idle set) — service times are fixed
+// at dispatch, so a resident never appears under a running request.
+func (s *sim) selectBatch(now float64) int {
+	s.releaseHolds(now)
+	x := &s.idx
+	switch s.policy {
+	case SpreadIdle:
+		// Keep batch away from latency traffic: machines that never
+		// served a request first, least-recently-used within each
+		// group.
+		if mi := x.lruFresh.min(); mi >= 0 {
 			return mi
 		}
+		return x.lruIdle.min()
+	case PackPartition:
+		// Consolidate onto machines the fleet is already paying
+		// for; open a fresh one only when none has a free slot.
+		if mi := x.first(setIdleUsed, s.n); mi >= 0 {
+			return mi
+		}
+		return x.first(setIdle, s.n)
+	default: // UtilTarget
+		return x.first(setIdle, s.prefixK)
 	}
-	return -1
 }
 
-// pickLRU returns the machine satisfying ok that has been idle
-// longest (never-used machines first, by index), or -1.
-func (s *sim) pickLRU(ok func(int) bool) int {
-	best := -1
-	for mi := range s.machines {
-		if !ok(mi) {
-			continue
-		}
-		if best < 0 || s.machines[mi].lastFree < s.machines[best].lastFree {
-			best = mi
-		}
-	}
-	return best
-}
-
-// shortestQueueOK returns the machine with the fewest waiting
-// requests among those satisfying ok (nil = every machine), ties to
-// the lowest index; -1 when none qualifies.
-func (s *sim) shortestQueueOK(ok func(int) bool) int {
-	best := -1
-	for mi := range s.machines {
-		if ok != nil && !ok(mi) {
-			continue
-		}
-		if best < 0 || len(s.machines[mi].queue) < len(s.machines[best].queue) {
-			best = mi
-		}
-	}
-	return best
-}
-
-// placeBatch assigns queued backlog items to batch slots until the
-// width cap or the eligible machines are exhausted. A batch slot only
-// accepts work while the latency slot is idle — service times are
-// fixed at dispatch, so a resident never appears under a running
-// request.
 // requeuedLen is the number of evicted items still awaiting
 // re-placement (the live window of the requeued buffer).
 func (s *sim) requeuedLen() int { return len(s.requeued) - s.reqHead }
 
+// placeBatch assigns queued backlog items to batch slots until the
+// width cap or the eligible machines are exhausted.
 func (s *sim) placeBatch(now float64) {
 	for (s.requeuedLen() > 0 || s.nextItem < len(s.backlog)) && s.resident < s.maxBatch {
-		eligible := func(mi int) bool {
-			m := &s.machines[mi]
-			return s.avail(mi, now) && m.bgApp == "" && m.fgApp == "" && len(m.queue) == 0
-		}
-		var mi int
-		switch s.policy {
-		case SpreadIdle:
-			// Keep batch away from latency traffic: machines that never
-			// served a request first, least-recently-used within each
-			// group.
-			mi = s.pickLRU(func(mi int) bool { return eligible(mi) && !s.machines[mi].latencyUsed })
-			if mi < 0 {
-				mi = s.pickLRU(eligible)
-			}
-		case PackPartition:
-			// Consolidate onto machines the fleet is already paying
-			// for; open a fresh one only when none has a free slot.
-			mi = s.pickIndex(func(mi int) bool { return eligible(mi) && s.machines[mi].used })
-			if mi < 0 {
-				mi = s.pickIndex(eligible)
-			}
-		default: // UtilTarget
-			mi = s.pickIndex(func(mi int) bool { return mi < s.prefixK && eligible(mi) })
-		}
+		mi := s.selectBatch(now)
 		if mi < 0 {
 			return
 		}
 		// Evicted items re-place ahead of the untouched backlog — they
 		// were already in progress when their machine went away.
-		var item loadgen.BatchItem
+		var app string
+		var iters float64
 		group := -1
 		if s.requeuedLen() > 0 {
-			item, group = s.requeued[s.reqHead].item, s.requeued[s.reqHead].group
+			rq := &s.requeued[s.reqHead]
+			app, iters, group = rq.app, rq.iterations, rq.group
 			s.reqHead++
 			if s.reqHead == len(s.requeued) {
 				s.requeued = s.requeued[:0]
 				s.reqHead = 0
 			}
 		} else {
-			item = s.backlog[s.nextItem]
+			item := &s.backlog[s.nextItem]
+			app, iters = item.App, item.Iterations
 			s.nextItem++
 		}
 		s.resident++
 		s.account(mi, now)
-		m := &s.machines[mi]
-		m.bgApp = item.App
-		m.bgItem = item
-		m.bgRemaining = item.Iterations
+		m := s.mach(mi)
+		m.bgApp = app
+		m.bgIters = iters
+		m.bgRemaining = iters
 		m.used = true
+		s.reindex(mi)
 		if group >= 0 {
 			s.resolveReplace(group, now)
 		}
-		s.setBgRate(mi, s.o.aloneRate(item.App), now)
+		s.setBgRate(mi, s.o.aloneRate(app), now)
 	}
 }
 
@@ -693,7 +732,7 @@ func (s *sim) onFleetEvent(i int, now float64) {
 func (s *sim) onMachineDown(ev Event, now float64) {
 	mi := ev.Machine
 	s.account(mi, now)
-	m := &s.machines[mi]
+	m := s.mach(mi)
 	g := -1
 	group := func() int {
 		if g < 0 {
@@ -703,15 +742,15 @@ func (s *sim) onMachineDown(ev Event, now float64) {
 		return g
 	}
 	if m.bgApp != "" {
-		item := m.bgItem
+		iters := m.bgIters
 		if ev.Drain {
-			item.Iterations = m.bgRemaining
+			iters = m.bgRemaining
 			s.migrated++
 		} else {
 			s.lostJobs++
 		}
 		s.evicted++
-		s.requeued = append(s.requeued, requeuedItem{item: item, group: group()})
+		s.requeued = append(s.requeued, requeuedItem{app: m.bgApp, iterations: iters, group: group()})
 		s.addPending(group())
 		m.bgApp, m.bgRemaining = "", 0
 		m.bgVer++
@@ -719,21 +758,21 @@ func (s *sim) onMachineDown(ev Event, now float64) {
 	}
 	// Queued requests never started; they migrate without losing work
 	// under failure and drain alike.
-	moved := m.queue
-	m.queue = nil
-	for _, ri := range moved {
+	moved, nMoved := int(m.qHead), m.qLen
+	m.qLen = 0
+	for ri, k := moved, int32(0); k < nMoved; ri, k = int(s.reqs[ri].next), k+1 {
 		s.evicted++
 		s.migrated++
 		s.tagReq(ri, group(), now)
 	}
 	act := -1
-	if m.fgApp != "" {
+	if m.fgReq >= 0 {
 		if ev.Drain {
 			m.draining = true
 		} else {
-			act = m.fgReq
+			act = int(m.fgReq)
 			m.fgVer++ // the scheduled completion is void
-			m.fgApp, m.fgReq = "", -1
+			m.fgReq = -1
 			s.evicted++
 			s.lostJobs++
 			s.tagReq(act, group(), now)
@@ -742,14 +781,18 @@ func (s *sim) onMachineDown(ev Event, now float64) {
 	if !m.draining {
 		m.down = true
 	}
+	s.reindex(mi)
 	// Re-place through the active policy: the interrupted request
 	// first, then the queue in FIFO order; placeBatch (called after
 	// every event) re-places the requeued item.
 	if act >= 0 {
 		s.placeRequest(act, now)
 	}
-	for _, ri := range moved {
+	for ri, k := moved, int32(0); k < nMoved; k++ {
+		// Read the link first: placing ri may queue it elsewhere.
+		next := int(s.reqs[ri].next)
 		s.placeRequest(ri, now)
+		ri = next
 	}
 }
 
@@ -758,7 +801,7 @@ func (s *sim) onMachineDown(ev Event, now float64) {
 func (s *sim) onMachineUp(ev Event, now float64) {
 	mi := ev.Machine
 	s.account(mi, now)
-	m := &s.machines[mi]
+	m := s.mach(mi)
 	if m.draining {
 		m.draining = false // the drain had not completed; cancel the power-down
 	} else {
@@ -766,9 +809,11 @@ func (s *sim) onMachineUp(ev Event, now float64) {
 		if h := s.def.Hysteresis; h > 0 {
 			m.holdUntil = now + h
 			s.push(m.holdUntil, evWake, mi, 0)
+			s.hold(mi, now)
 		}
-		m.lastFree = now
+		s.idx.lastFree[mi] = now
 	}
+	s.reindex(mi)
 	if len(s.pendingReqs) > 0 {
 		// Swap in the scratch buffer rather than nil: placeRequest may
 		// re-pend a request mid-drain, and it must land in a buffer that
@@ -795,7 +840,7 @@ func (s *sim) cancelItems(app string, n int, now float64) {
 		removed++
 	}
 	for i := len(s.requeued) - 1; i >= s.reqHead && removed < n; i-- {
-		if s.requeued[i].item.App != app {
+		if s.requeued[i].app != app {
 			continue
 		}
 		if g := s.requeued[i].group; g >= 0 {

@@ -373,10 +373,13 @@ func TestOverrideApplies(t *testing.T) {
 }
 
 func TestRateLimit429(t *testing.T) {
-	clock := time.Unix(1000, 0)
+	// The server reads the injected clock from its worker goroutines
+	// too, so the test advances it atomically (unix seconds).
+	var clock atomic.Int64
+	clock.Store(1000)
 	_, ts := newTestServer(t, core.RunConfig{}, Options{
 		RatePerSec: 0.5, Burst: 1,
-		Now: func() time.Time { return clock },
+		Now: func() time.Time { return time.Unix(clock.Load(), 0) },
 	})
 	spec, err := os.ReadFile(examplePath)
 	if err != nil {
@@ -402,7 +405,7 @@ func TestRateLimit429(t *testing.T) {
 	}
 
 	// Advancing the injected clock past the refill admits the client again.
-	clock = clock.Add(3 * time.Second)
+	clock.Add(3)
 	submit(t, ts, spec)
 }
 
