@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-json profile lint ci
+.PHONY: build test race bench bench-json profile lint perfbench ci
 
 build:
 	$(GO) build ./...
@@ -47,6 +47,12 @@ profile:
 		-cpuprofile /tmp/cachepart-cpu.prof -o /tmp/cachepart-bench.test .
 	$(GO) tool pprof -top -nodecount=20 /tmp/cachepart-cpu.prof
 
+# perfbench is its own module (replace repro => ../), so the root
+# `go build ./...` never compiles it; build and self-test it against
+# the current tree.
+perfbench:
+	cd perfbench && $(GO) test .
+
 lint:
 	@out="$$(gofmt -l .)"; \
 	if [ -n "$$out" ]; then \
@@ -59,4 +65,4 @@ lint:
 		echo "staticcheck not installed; skipped (CI runs it)"; \
 	fi
 
-ci: build lint race bench
+ci: build lint race bench perfbench

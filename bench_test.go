@@ -225,8 +225,7 @@ func BenchmarkEngineBatchSweep(b *testing.B) {
 	r := sched.New(sched.Options{Scale: benchScale, DisableCache: true})
 	var specs []sched.Spec
 	for w := 1; w < 12; w++ {
-		specs = append(specs, sched.PairSpec{Fg: fg, Bg: bg,
-			FgWays: w, BgWays: 12 - w, Mode: sched.BackgroundLoop})
+		specs = append(specs, sched.Pair(r.MachineConfig(), fg, bg, w, 12-w, true))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -284,7 +283,7 @@ func BenchmarkFleetRun(b *testing.B) {
 	var requests int
 	for i := 0; i < b.N; i++ {
 		r := sched.New(sched.Options{Scale: benchScale})
-		rep, err := fleet.Run(r, "bench", def)
+		rep, err := fleet.RunWith(r, "bench", def, fleet.RunOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -314,7 +313,7 @@ func BenchmarkFleetRunFast(b *testing.B) {
 	var requests int
 	for i := 0; i < b.N; i++ {
 		r := sched.New(sched.Options{Scale: benchScale})
-		rep, err := fleet.Run(r, "bench", def)
+		rep, err := fleet.RunWith(r, "bench", def, fleet.RunOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -338,7 +337,7 @@ func warmFleet(b *testing.B, path string) (*sched.Runner, *fleet.Def, string) {
 		b.Fatal(err)
 	}
 	r := sched.New(sched.Options{Scale: sched.QuickScale})
-	if _, err := fleet.Run(r, s.Name, s.Fleet); err != nil {
+	if _, err := fleet.RunWith(r, s.Name, s.Fleet, fleet.RunOpts{}); err != nil {
 		b.Fatal(err)
 	}
 	return r, s.Fleet, s.Name
@@ -355,7 +354,7 @@ func BenchmarkFleetMultiPolicy(b *testing.B) {
 	npol := len(fleet.Policies())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := fleet.Run(r, name, def)
+		rep, err := fleet.RunWith(r, name, def, fleet.RunOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -374,7 +373,7 @@ func BenchmarkFleetChurn(b *testing.B) {
 	r, def, name := warmFleet(b, "examples/scenarios/fleet-churn-50.json")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := fleet.Run(r, name, def)
+		rep, err := fleet.RunWith(r, name, def, fleet.RunOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -396,7 +395,7 @@ func BenchmarkFleetMega10k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := fleet.Run(r, name, def)
+		rep, err := fleet.RunWith(r, name, def, fleet.RunOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -515,7 +514,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	instr := app.Instructions * 2e-3
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.RunSingle(sched.SingleSpec{App: app, Threads: 4})
+		r.Run(sched.Alone(r.MachineConfig(), app, 4, 0))
 	}
 	b.ReportMetric(instr*float64(b.N)/b.Elapsed().Seconds(), "sim-instr/s")
 }

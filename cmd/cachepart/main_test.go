@@ -70,6 +70,24 @@ func TestCmdRunValidation(t *testing.T) {
 	}
 }
 
+// TestCmdPairPolicyErrors: a policy the pair shape cannot express
+// (explicit declares no way ranges here) is a one-line error instead of
+// a silently shared run, and registry errors reach the user verbatim.
+func TestCmdPairPolicyErrors(t *testing.T) {
+	for _, c := range []struct{ policy, want string }{
+		{"explicit", "explicit needs per-job way ranges"},
+		{"warp", `partition: unknown partition policy "warp" (registered: `},
+	} {
+		err := cmdPair([]string{"-fg", "fop", "-bg", "dedup", "-policy", c.policy, "-scale", "0.0002"})
+		if err == nil {
+			t.Fatalf("-policy %s accepted", c.policy)
+		}
+		if msg := err.Error(); !strings.Contains(msg, c.want) || strings.Contains(msg, "\n") {
+			t.Errorf("-policy %s: error %q, want one line containing %q", c.policy, msg, c.want)
+		}
+	}
+}
+
 func TestCmdPairValidation(t *testing.T) {
 	if err := cmdPair([]string{"-fg", "fop"}); err == nil {
 		t.Fatal("missing -bg accepted")

@@ -30,13 +30,14 @@ func main() {
 	for _, name := range victims {
 		app := workload.MustByName(name)
 
-		base := plain.AloneHalf(app).JobByName(name).Seconds
-		noQ := plain.RunPair(sched.PairSpec{Fg: app, Bg: hog, Mode: sched.BackgroundLoop}).
-			JobByName(name).Seconds / base
+		alone := sched.HalfAlone(qosCfg, app)
+		pair := sched.Pair(qosCfg, app, hog, 0, 0, true)
 
-		baseQ := qos.AloneHalf(app).JobByName(name).Seconds
-		withQ := qos.RunPair(sched.PairSpec{Fg: app, Bg: hog, Mode: sched.BackgroundLoop}).
-			JobByName(name).Seconds / baseQ
+		base := plain.Run(alone).JobByName(name).Seconds
+		noQ := plain.Run(pair).JobByName(name).Seconds / base
+
+		baseQ := qos.Run(alone).JobByName(name).Seconds
+		withQ := qos.Run(pair).JobByName(name).Seconds / baseQ
 
 		fmt.Printf("%-16s  %9.2fx  %9.2fx\n", name, noQ, withQ)
 	}

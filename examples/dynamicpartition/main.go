@@ -21,14 +21,13 @@ func main() {
 	bg := workload.MustByName("ferret")
 
 	var ctl *partition.Controller
-	res := r.RunPair(sched.PairSpec{
-		Fg: fg, Bg: bg, Mode: sched.BackgroundLoop,
-		Setup: func(m *machine.Machine, fgJob, bgJob *machine.Job) {
-			cfg := partition.DefaultControllerConfig()
-			cfg.IntervalSeconds = fg.Instructions * scale * 1.5 / 3.4e9 / 500
-			ctl = partition.Attach(m, fgJob, bgJob, cfg)
-		},
-	})
+	pair := sched.Pair(r.MachineConfig(), fg, bg, 0, 0, true)
+	pair.Setup = func(m *machine.Machine, jobs []*machine.Job) {
+		cfg := partition.DefaultControllerConfig()
+		cfg.IntervalSeconds = fg.Instructions * scale * 1.5 / 3.4e9 / 500
+		ctl = partition.Attach(m, jobs[0], jobs[1], cfg)
+	}
+	res := r.Run(pair)
 
 	fmt.Println("429.mcf under the dynamic controller (bg: ferret)")
 	fmt.Printf("%-12s  %-8s  %-5s  %s\n", "sim time (s)", "MPKI", "ways", "allocation")

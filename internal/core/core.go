@@ -1,17 +1,24 @@
-// Package core is the library's high-level API: it wraps the simulated
+// Package core is the library's high-level API over the simulated
 // way-partitionable platform, the workload catalog, and the paper's
-// partitioning policies behind a small surface suitable for building
-// consolidation studies.
+// partitioning policies.
 //
-// The paper's central question — can a latency-sensitive foreground
-// application share a machine with background work without losing
-// responsiveness? — maps onto three calls:
+// Session is the run entrypoint for specs: scenario and fleet files
+// run through it and come back as versioned report envelopes (the
+// `cachepart scenario run`, `fleet run`, and `serve` front ends).
+// System asks the paper's central question about one pair directly —
+// can a latency-sensitive foreground share a machine with background
+// work without losing responsiveness?
 //
 //	sys := core.NewSystem(core.Options{})
 //	alone, _ := sys.RunAlone("429.mcf", 4, core.AllWays)
-//	together, _ := sys.Consolidate("429.mcf", "ferret", core.PolicyDynamic)
-//	fmt.Println(together.FgSlowdown, together.BgThroughput)
+//	pair, err := sys.Consolidate("429.mcf", "ferret", core.PolicyBiased)
+//	if err != nil {
+//		return err // unknown policy, or one a pair cannot express
+//	}
+//	fmt.Println(alone.Seconds, pair.FgSlowdown, pair.FgWays, pair.BgThroughput)
 //
+// Consolidate prices the pair through the policy's pair plan
+// (partition.PlanPair), the same pricer the fleet oracle uses.
 // Everything deeper (cache geometry, prefetchers, energy coefficients,
 // experiment drivers for each paper figure) lives in the sibling
 // internal packages.
@@ -20,7 +27,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/machine"
 	"repro/internal/partition"
 	"repro/internal/sched"
 	"repro/internal/workload"
@@ -116,7 +122,7 @@ func (s *System) RunAlone(app string, threads, ways int) (RunReport, error) {
 	if ways < 0 || ways > 12 {
 		return RunReport{}, fmt.Errorf("core: ways %d out of [0,12]", ways)
 	}
-	res := s.r.RunSingle(sched.SingleSpec{App: p, Threads: threads, Ways: ways})
+	res := s.r.Run(sched.Alone(s.r.MachineConfig(), p, threads, ways))
 	j := res.JobByName(p.Name)
 	return RunReport{
 		App: p.Name, Threads: j.Threads, Ways: ways,
@@ -154,10 +160,10 @@ type ConsolidationReport struct {
 
 // Consolidate co-schedules fg (cores 0-1, 4 hyperthreads) with a
 // continuously-running bg (cores 2-3) under the named partition
-// policy, dispatched through the policy registry: search policies
+// policy, priced through the policy's pair plan: search policies
 // (biased) run the paper's exhaustive sweep, online policies (dynamic,
 // utility) attach their decision loop, offline policies apply their
-// static split.
+// static split. A policy the pair shape cannot express is an error.
 func (s *System) Consolidate(fg, bg string, policy Policy) (ConsolidationReport, error) {
 	fp, err := workload.ByName(fg)
 	if err != nil {
@@ -169,46 +175,30 @@ func (s *System) Consolidate(fg, bg string, policy Policy) (ConsolidationReport,
 	}
 	pol, err := partition.New(string(policy), nil)
 	if err != nil {
-		return ConsolidationReport{}, fmt.Errorf("core: unknown policy %q", policy)
+		return ConsolidationReport{}, err
 	}
-	alone := s.r.AloneHalf(fp).JobByName(fp.Name).Seconds
-	assoc := s.r.MachineConfig().Hier.LLC.Assoc
-
-	rep := ConsolidationReport{Fg: fp.Name, Bg: bp.Name, Policy: policy}
-	var res *machine.Result
-	switch searcher, _ := pol.(partition.Searcher); {
-	case searcher != nil:
-		ch := partition.BestSplit(s.r, searcher, fp, bp)
-		rep.FgWays, rep.BgWays = ch.FgWays, ch.BgWays
-		res = s.r.RunPair(sched.PairSpec{Fg: fp, Bg: bp,
-			FgWays: ch.FgWays, BgWays: ch.BgWays, Mode: sched.BackgroundLoop})
-	case pol.Online():
-		interval := partition.SamplingInterval(fp, s.r.Scale())
-		res = s.r.RunPair(sched.PairSpec{
-			Fg: fp, Bg: bp, Mode: sched.BackgroundLoop,
-			Setup: func(m *machine.Machine, fgJob, bgJob *machine.Job) {
-				partition.AttachLoop(m, []partition.LoopJob{
-					{Job: fgJob, Cores: fgJob.Cores(), App: fp.Name, Latency: true},
-					{Job: bgJob, Cores: bgJob.Cores(), App: bp.Name},
-				}, pol, interval)
-			},
-			PolicyKey: partition.RunKey(pol, interval, []bool{true, false}),
-		})
-		if tr := res.Partition; tr != nil && len(tr.FinalWays) == 2 {
-			rep.FgWays, rep.BgWays = tr.FinalWays[0], tr.FinalWays[1]
-			rep.Reallocations = tr.Reallocations
-		}
-	default:
-		rep.FgWays, rep.BgWays = partition.PairWays(pol, assoc)
-		res = s.r.RunPair(sched.PairSpec{Fg: fp, Bg: bp,
-			FgWays: rep.FgWays, BgWays: rep.BgWays, Mode: sched.BackgroundLoop})
+	cfg := s.r.MachineConfig()
+	plan, err := partition.PlanPair(pol, cfg.Hier.LLC.Assoc)
+	if err != nil {
+		return ConsolidationReport{}, fmt.Errorf("core: policy %s: %w", policy, err)
 	}
+	alone := s.r.Run(sched.HalfAlone(cfg, fp)).JobByName(fp.Name).Seconds
+	var specs []sched.Spec
+	for _, mix := range plan.Specs(cfg, s.r.Scale(), fp, bp) {
+		specs = append(specs, mix)
+	}
+	out := plan.Harvest(s.r.RunBatch(specs), alone)
 
+	res := out.Result
 	fgJ := res.JobByName(fp.Name)
-	rep.FgSeconds = fgJ.Seconds
-	rep.FgSlowdown = fgJ.Seconds / alone
-	rep.BgThroughput = res.JobByName(bp.Name).Iterations
-	rep.SocketJoules = res.Energy.SocketJoules
-	rep.WallJoules = res.Energy.WallJoules
-	return rep, nil
+	return ConsolidationReport{
+		Fg: fp.Name, Bg: bp.Name, Policy: policy,
+		FgWays: out.FgWays, BgWays: out.BgWays,
+		FgSeconds:     fgJ.Seconds,
+		FgSlowdown:    fgJ.Seconds / alone,
+		BgThroughput:  res.JobByName(bp.Name).Iterations,
+		SocketJoules:  res.Energy.SocketJoules,
+		WallJoules:    res.Energy.WallJoules,
+		Reallocations: out.Reallocations,
+	}, nil
 }

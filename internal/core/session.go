@@ -271,7 +271,7 @@ func ApplyOverrides(sc *scenario.Scenario, cfg RunConfig) error {
 			}
 		}
 		if cfg.Partition != "" {
-			sc.Fleet.Partition = fleet.PartitionMode(cfg.Partition)
+			sc.Fleet.Partition = cfg.Partition
 			// The file's params belong to the file's policy; an override
 			// mode must not inherit them.
 			sc.Fleet.PartitionParams = nil

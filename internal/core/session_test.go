@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/fleet"
 	"repro/internal/scenario"
 	"repro/internal/sched"
 )
@@ -242,7 +241,7 @@ func TestApplyOverrides(t *testing.T) {
 	if err := ApplyOverrides(fl, RunConfig{Partition: "shared", Machines: 5}); err != nil {
 		t.Fatal(err)
 	}
-	if fl.Fleet.Partition != fleet.PartitionMode("shared") || fl.Fleet.PartitionParams != nil || fl.Fleet.Machines != 5 {
+	if fl.Fleet.Partition != "shared" || fl.Fleet.PartitionParams != nil || fl.Fleet.Machines != 5 {
 		t.Errorf("fleet overrides not applied: %+v", fl.Fleet)
 	}
 	if err := ApplyOverrides(fl, RunConfig{Partition: "warp"}); err == nil ||

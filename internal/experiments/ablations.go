@@ -62,8 +62,8 @@ func (c *Context) AblationSmallLLC() *Table {
 			if i == j {
 				continue
 			}
-			specs6 = append(specs6, policySweepSpecs(fg, bg, 12)...)
-			specs2 = append(specs2, policySweepSpecs(fg, bg, 8)...)
+			specs6 = append(specs6, policySweepSpecs(big.MachineConfig(), fg, bg)...)
+			specs2 = append(specs2, policySweepSpecs(small.MachineConfig(), fg, bg)...)
 		}
 	}
 	warmAll([]*sched.Runner{big, small}, specs6, specs2)
@@ -74,8 +74,8 @@ func (c *Context) AblationSmallLLC() *Table {
 			if i == j {
 				continue
 			}
-			s6, b6 := policySlowdowns(big, fg, bg, 12)
-			s2, b2 := policySlowdowns(small, fg, bg, 8)
+			s6, b6 := policySlowdowns(big, fg, bg)
+			s2, b2 := policySlowdowns(small, fg, bg)
 			gain6 = append(gain6, s6-b6)
 			gain2 = append(gain2, s2-b2)
 			t.Add(fmt.Sprintf("C%d+C%d", i+1, j+1),
@@ -89,20 +89,20 @@ func (c *Context) AblationSmallLLC() *Table {
 	return t
 }
 
-// policySweepSpecs lists one pair's policy comparison on a platform
-// with the given associativity: the biased-search sweep (alone
-// baseline plus every uneven split) and the shared run.
-func policySweepSpecs(fg, bg *workload.Profile, assoc int) []sched.Spec {
-	search := partition.SearchSpecs(assoc, fg, bg)
+// policySweepSpecs lists one pair's policy comparison on platform cfg:
+// the biased-search sweep (alone baseline plus every uneven split) and
+// the shared run.
+func policySweepSpecs(cfg machine.Config, fg, bg *workload.Profile) []sched.Spec {
+	search := partition.SearchSpecs(cfg, fg, bg)
 	specs := []sched.Spec{search[0],
-		sched.PairSpec{Fg: fg, Bg: bg, Mode: sched.BackgroundLoop}}
+		sched.Pair(cfg, fg, bg, 0, 0, true)}
 	return append(specs, search[1:]...)
 }
 
 // policySlowdowns returns (shared, bestBiased) fg slowdowns for a pair
 // on the given runner, running the sweep as one batch.
-func policySlowdowns(r *sched.Runner, fg, bg *workload.Profile, assoc int) (float64, float64) {
-	results := r.RunBatch(policySweepSpecs(fg, bg, assoc))
+func policySlowdowns(r *sched.Runner, fg, bg *workload.Profile) (float64, float64) {
+	results := r.RunBatch(policySweepSpecs(r.MachineConfig(), fg, bg))
 	alone := results[0].JobByName(fg.Name).Seconds
 	shared := results[1].JobByName(fg.Name).Seconds / alone
 	best := shared
@@ -117,6 +117,7 @@ func policySlowdowns(r *sched.Runner, fg, bg *workload.Profile, assoc int) (floa
 // AblationBandwidthQoS measures the worst bandwidth-driven slowdowns
 // with and without per-job DRAM bandwidth reservations.
 func (c *Context) AblationBandwidthQoS() *Table {
+	cfg := c.R.MachineConfig()
 	qos := c.runnerWith(func(cfg *machine.Config) { cfg.BandwidthQoS = true })
 	hog := workload.MustByName("stream_uncached")
 	victims := []string{"462.libquantum", "470.lbm", "459.GemsFDTD", "fluidanimate", "streamcluster", "batik"}
@@ -128,19 +129,19 @@ func (c *Context) AblationBandwidthQoS() *Table {
 	for _, name := range victims {
 		app := workload.MustByName(name)
 		specs = append(specs,
-			sched.AloneHalfSpec(app),
-			sched.PairSpec{Fg: app, Bg: hog, Mode: sched.BackgroundLoop})
+			sched.HalfAlone(cfg, app),
+			sched.Pair(cfg, app, hog, 0, 0, true))
 	}
 	warmAll([]*sched.Runner{c.R, qos}, specs)
 
 	var without, with []float64
 	for _, name := range victims {
 		app := workload.MustByName(name)
-		base := c.R.AloneHalf(app).JobByName(name).Seconds
-		noQ := c.R.RunPair(sched.PairSpec{Fg: app, Bg: hog, Mode: sched.BackgroundLoop}).
+		base := c.R.Run(sched.HalfAlone(cfg, app)).JobByName(name).Seconds
+		noQ := c.R.Run(sched.Pair(cfg, app, hog, 0, 0, true)).
 			JobByName(name).Seconds / base
-		baseQ := qos.AloneHalf(app).JobByName(name).Seconds
-		withQ := qos.RunPair(sched.PairSpec{Fg: app, Bg: hog, Mode: sched.BackgroundLoop}).
+		baseQ := qos.Run(sched.HalfAlone(cfg, app)).JobByName(name).Seconds
+		withQ := qos.Run(sched.Pair(cfg, app, hog, 0, 0, true)).
 			JobByName(name).Seconds / baseQ
 		without = append(without, noQ)
 		with = append(with, withQ)
@@ -154,6 +155,7 @@ func (c *Context) AblationBandwidthQoS() *Table {
 // AblationIndexing compares plain vs hashed LLC indexing on the
 // capacity curve of a high-utility application.
 func (c *Context) AblationIndexing() *Table {
+	cfg := c.R.MachineConfig()
 	plain := c.runnerWith(func(cfg *machine.Config) { cfg.Hier.LLC.HashIndex = false })
 	app := workload.MustByName("471.omnetpp")
 
@@ -165,7 +167,7 @@ func (c *Context) AblationIndexing() *Table {
 
 	for _, w := range c.WayPoints {
 		h := c.singleSeconds(app, 1, w)
-		p := plain.RunSingle(sched.SingleSpec{App: app, Threads: 1, Ways: w}).
+		p := plain.Run(sched.Alone(cfg, app, 1, w)).
 			JobByName(app.Name).Seconds
 		t.Add(fmt.Sprintf("%d", w), fmt.Sprintf("%.4f", h), fmt.Sprintf("%.4f", p),
 			fmt.Sprintf("%.3f", p/h))
@@ -177,6 +179,7 @@ func (c *Context) AblationIndexing() *Table {
 // AblationReplacement compares bit-PLRU, true LRU and random
 // replacement in the LLC for the representatives.
 func (c *Context) AblationReplacement() *Table {
+	cfg := c.R.MachineConfig()
 	t := &Table{Title: "Ablation: LLC replacement policy (time at 4 threads, full LLC)",
 		Columns: []string{"app", "plru(s)", "lru(s)", "random(s)", "lru/plru", "random/plru"}}
 	lru := c.runnerWith(func(cfg *machine.Config) { cfg.Hier.LLC.Replacement = cache.ReplaceLRU })
@@ -184,15 +187,15 @@ func (c *Context) AblationReplacement() *Table {
 
 	var specs []sched.Spec
 	for _, app := range c.Reps {
-		specs = append(specs, sched.SingleSpec{App: app, Threads: threadsFor(app, 4)})
+		specs = append(specs, sched.Alone(cfg, app, sched.CapThreads(app, 4), 0))
 	}
 	warmAll([]*sched.Runner{c.R, lru, rnd}, specs)
 
 	for _, app := range c.Reps {
-		th := threadsFor(app, 4)
+		th := sched.CapThreads(app, 4)
 		p := c.singleSeconds(app, th, 0)
-		l := lru.RunSingle(sched.SingleSpec{App: app, Threads: th}).JobByName(app.Name).Seconds
-		r := rnd.RunSingle(sched.SingleSpec{App: app, Threads: th}).JobByName(app.Name).Seconds
+		l := lru.Run(sched.Alone(cfg, app, th, 0)).JobByName(app.Name).Seconds
+		r := rnd.Run(sched.Alone(cfg, app, th, 0)).JobByName(app.Name).Seconds
 		t.Add(app.Name, fmt.Sprintf("%.4f", p), fmt.Sprintf("%.4f", l), fmt.Sprintf("%.4f", r),
 			fmt.Sprintf("%.3f", l/p), fmt.Sprintf("%.3f", r/p))
 	}
@@ -203,6 +206,7 @@ func (c *Context) AblationReplacement() *Table {
 // AblationInclusion quantifies how much of the small-allocation
 // pathology is inclusion victims.
 func (c *Context) AblationInclusion() *Table {
+	cfg := c.R.MachineConfig()
 	nonInc := c.runnerWith(func(cfg *machine.Config) { cfg.Hier.NonInclusiveLLC = true })
 	t := &Table{Title: "Ablation: inclusive vs non-inclusive LLC at small allocations",
 		Columns: []string{"app", "ways", "inclusive(s)", "non-inclusive(s)", "inclusion cost"}}
@@ -211,7 +215,7 @@ func (c *Context) AblationInclusion() *Table {
 	for _, name := range []string{"429.mcf", "471.omnetpp", "h2"} {
 		app := workload.MustByName(name)
 		for _, w := range []int{1, 2, 12} {
-			specs = append(specs, sched.SingleSpec{App: app, Threads: 1, Ways: w})
+			specs = append(specs, sched.Alone(cfg, app, 1, w))
 		}
 	}
 	warmAll([]*sched.Runner{c.R, nonInc}, specs)
@@ -220,7 +224,7 @@ func (c *Context) AblationInclusion() *Table {
 		app := workload.MustByName(name)
 		for _, w := range []int{1, 2, 12} {
 			inc := c.singleSeconds(app, 1, w)
-			non := nonInc.RunSingle(sched.SingleSpec{App: app, Threads: 1, Ways: w}).
+			non := nonInc.Run(sched.Alone(cfg, app, 1, w)).
 				JobByName(name).Seconds
 			t.Add(name, fmt.Sprintf("%d", w), fmt.Sprintf("%.4f", inc),
 				fmt.Sprintf("%.4f", non), pct(inc/non))
@@ -233,6 +237,7 @@ func (c *Context) AblationInclusion() *Table {
 // AblationPrefetchers breaks Figure 3's all-on/all-off comparison into
 // per-prefetcher contributions for the prefetch-sensitive applications.
 func (c *Context) AblationPrefetchers() *Table {
+	cfg := c.R.MachineConfig()
 	apps := []string{"462.libquantum", "470.lbm", "459.GemsFDTD", "450.soplex", "facesim"}
 	configs := []struct {
 		name string
@@ -253,7 +258,9 @@ func (c *Context) AblationPrefetchers() *Table {
 		app := workload.MustByName(name)
 		for i := range configs {
 			pf := configs[i].cfg
-			specs = append(specs, sched.SingleSpec{App: app, Threads: 4, Prefetch: &pf})
+			spec := sched.Alone(cfg, app, 4, 0)
+			spec.Prefetch = &pf
+			specs = append(specs, spec)
 		}
 	}
 	c.submit(specs)
@@ -263,8 +270,9 @@ func (c *Context) AblationPrefetchers() *Table {
 		row := []string{name}
 		var offTime float64
 		for _, cc := range configs {
-			pf := cc.cfg
-			sec := c.R.RunSingle(sched.SingleSpec{App: app, Threads: 4, Prefetch: &pf}).
+			spec := sched.Alone(cfg, app, 4, 0)
+			spec.Prefetch = &cc.cfg
+			sec := c.R.Run(spec).
 				JobByName(name).Seconds
 			if cc.name == "all-off" {
 				offTime = sec
@@ -280,6 +288,7 @@ func (c *Context) AblationPrefetchers() *Table {
 // AblationMultiBackground reruns representative pairs with one vs two
 // background copies (§5.2's "more extreme cases").
 func (c *Context) AblationMultiBackground() *Table {
+	cfg := c.R.MachineConfig()
 	t := &Table{Title: "Ablation: one vs two background copies (fg slowdown, shared LLC)",
 		Columns: []string{"fg", "bg", "1 copy", "2 copies"}}
 
@@ -289,9 +298,9 @@ func (c *Context) AblationMultiBackground() *Table {
 			fg := workload.MustByName(fgName)
 			bg := workload.MustByName(bgName)
 			specs = append(specs,
-				sched.AloneHalfSpec(fg),
-				c.multiRun(fg, bg, 1),
-				c.multiRun(fg, bg, 2))
+				sched.HalfAlone(cfg, fg),
+				sched.Multi(cfg, fg, []*workload.Profile{bg}, 0, 0),
+				sched.Multi(cfg, fg, []*workload.Profile{bg, bg}, 0, 0))
 		}
 	}
 	c.submit(specs)
@@ -302,9 +311,9 @@ func (c *Context) AblationMultiBackground() *Table {
 			fg := workload.MustByName(fgName)
 			bg := workload.MustByName(bgName)
 			alone := c.aloneHalfSeconds(fg)
-			s1 := c.R.Run(c.multiRun(fg, bg, 1)).
+			s1 := c.R.Run(sched.Multi(cfg, fg, []*workload.Profile{bg}, 0, 0)).
 				JobByName(fg.Name).Seconds / alone
-			s2 := c.R.Run(c.multiRun(fg, bg, 2)).
+			s2 := c.R.Run(sched.Multi(cfg, fg, []*workload.Profile{bg, bg}, 0, 0)).
 				JobByName(fg.Name).Seconds / alone
 			one = append(one, s1)
 			two = append(two, s2)

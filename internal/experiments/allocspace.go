@@ -18,7 +18,8 @@ type AllocationPoint struct {
 
 // allocationSpecs lists the thread × way grid of Figure 6 for one
 // application, with the grid coordinates alongside.
-func allocationSpecs(app *workload.Profile, threadPoints, wayPoints []int) ([]sched.Spec, [][2]int) {
+func (c *Context) allocationSpecs(app *workload.Profile, threadPoints, wayPoints []int) ([]sched.Spec, [][2]int) {
+	cfg := c.R.MachineConfig()
 	var specs []sched.Spec
 	var coords [][2]int
 	for _, th := range threadPoints {
@@ -26,7 +27,7 @@ func allocationSpecs(app *workload.Profile, threadPoints, wayPoints []int) ([]sc
 			continue
 		}
 		for _, w := range wayPoints {
-			specs = append(specs, sched.SingleSpec{App: app, Threads: th, Ways: w})
+			specs = append(specs, sched.Alone(cfg, app, th, w))
 			coords = append(coords, [2]int{th, w})
 		}
 	}
@@ -37,7 +38,7 @@ func allocationSpecs(app *workload.Profile, threadPoints, wayPoints []int) ([]sc
 // application (Figure 6's scatter data). The whole grid runs as one
 // batch; points come back in grid order.
 func (c *Context) AllocationSpace(app *workload.Profile, threadPoints, wayPoints []int) []AllocationPoint {
-	specs, coords := allocationSpecs(app, threadPoints, wayPoints)
+	specs, coords := c.allocationSpecs(app, threadPoints, wayPoints)
 	results := c.R.RunBatch(specs)
 	out := make([]AllocationPoint, len(results))
 	for i, res := range results {
@@ -58,7 +59,7 @@ func (c *Context) AllocationSpace(app *workload.Profile, threadPoints, wayPoints
 func (c *Context) submitAllocationGrids() {
 	var specs []sched.Spec
 	for _, app := range c.Reps {
-		s, _ := allocationSpecs(app, c.ThreadPoints, c.WayPoints)
+		s, _ := c.allocationSpecs(app, c.ThreadPoints, c.WayPoints)
 		specs = append(specs, s...)
 	}
 	c.submit(specs)

@@ -43,9 +43,10 @@ func classifyScalability(speedups map[int]float64) ScalabilityClass {
 // speedupSpecs lists the runs one application's Figure 1 series needs:
 // the 1-thread baseline plus every thread point.
 func (c *Context) speedupSpecs(app *workload.Profile) []sched.Spec {
-	specs := []sched.Spec{sched.SingleSpec{App: app, Threads: 1}}
+	cfg := c.R.MachineConfig()
+	specs := []sched.Spec{sched.Alone(cfg, app, 1, 0)}
 	for _, th := range c.ThreadPoints {
-		specs = append(specs, sched.SingleSpec{App: app, Threads: th})
+		specs = append(specs, sched.Alone(cfg, app, th, 0))
 	}
 	return specs
 }
@@ -127,9 +128,10 @@ const (
 
 // capacitySpecs lists one application's way sweep at a thread count.
 func (c *Context) capacitySpecs(app *workload.Profile, threads int) []sched.Spec {
+	cfg := c.R.MachineConfig()
 	specs := make([]sched.Spec, len(c.WayPoints))
 	for i, w := range c.WayPoints {
-		specs[i] = sched.SingleSpec{App: app, Threads: threads, Ways: w}
+		specs[i] = sched.Alone(cfg, app, threads, w)
 	}
 	return specs
 }
@@ -230,6 +232,7 @@ type Table2Result struct {
 // Table2LLCUtility reproduces Table 2: LLC utility classes with the
 // >10-accesses-per-kilo-instruction highlight, plus the capacity census.
 func (c *Context) Table2LLCUtility() *Table2Result {
+	cfg := c.R.MachineConfig()
 	t := &Table{Title: "Table 2: LLC utility classes (* = >10 LLC accesses per kilo-instruction)",
 		Columns: []string{"app", "suite", "demandMB", "LLC APKI", "class"}}
 	res := &Table2Result{
@@ -239,19 +242,19 @@ func (c *Context) Table2LLCUtility() *Table2Result {
 	}
 	var specs []sched.Spec
 	for _, app := range c.Apps {
-		threads := threadsFor(app, 4)
+		threads := sched.CapThreads(app, 4)
 		specs = append(specs, c.capacitySpecs(app, threads)...)
-		specs = append(specs, sched.SingleSpec{App: app, Threads: threads})
+		specs = append(specs, sched.Alone(cfg, app, threads, 0))
 	}
 	c.submit(specs)
 
 	n1, n3 := 0, 0
 	for _, app := range c.Apps {
-		threads := threadsFor(app, 4)
+		threads := sched.CapThreads(app, 4)
 		curve := c.CapacityCurve(app, threads)
 		cl := classifyUtility(curve, c.WayPoints)
 		demand := float64(capacityDemandWays(curve, c.WayPoints)) * 0.5
-		apki := c.R.RunSingle(sched.SingleSpec{App: app, Threads: threads}).
+		apki := c.R.Run(sched.Alone(cfg, app, threads, 0)).
 			JobByName(app.Name).LLCAPKI
 		res.Classes[app.Name] = cl
 		res.DemandMB[app.Name] = demand
@@ -276,18 +279,17 @@ func (c *Context) Table2LLCUtility() *Table2Result {
 
 // prefetchSpecs lists one application's Figure 3 pair: all prefetchers
 // on, all off.
-func prefetchSpecs(app *workload.Profile) []sched.Spec {
-	off := prefetch.AllOff()
-	return []sched.Spec{
-		sched.SingleSpec{App: app, Threads: 4},
-		sched.SingleSpec{App: app, Threads: 4, Prefetch: &off},
-	}
+func (c *Context) prefetchSpecs(app *workload.Profile) []sched.Spec {
+	on := sched.Alone(c.R.MachineConfig(), app, 4, 0)
+	off, pf := on, prefetch.AllOff()
+	off.Prefetch = &pf
+	return []sched.Spec{on, off}
 }
 
 // PrefetchSensitivity returns time(all prefetchers on)/time(all off)
 // for one application at 4 threads (one bar of Figure 3).
 func (c *Context) PrefetchSensitivity(app *workload.Profile) float64 {
-	res := c.R.RunBatch(prefetchSpecs(app))
+	res := c.R.RunBatch(c.prefetchSpecs(app))
 	return res[0].JobByName(app.Name).Seconds / res[1].JobByName(app.Name).Seconds
 }
 
@@ -296,7 +298,7 @@ func (c *Context) PrefetchSensitivity(app *workload.Profile) float64 {
 func (c *Context) Fig3Prefetchers() *Table {
 	var specs []sched.Spec
 	for _, app := range c.Apps {
-		specs = append(specs, prefetchSpecs(app)...)
+		specs = append(specs, c.prefetchSpecs(app)...)
 	}
 	c.submit(specs)
 
@@ -318,14 +320,15 @@ func (c *Context) Fig3Prefetchers() *Table {
 // bandwidthSpecs lists one application's Figure 4 runs: the alone
 // baseline and the run against the bandwidth hog. Nil for the hog
 // itself (not part of the figure).
-func bandwidthSpecs(app *workload.Profile) []sched.Spec {
+func (c *Context) bandwidthSpecs(app *workload.Profile) []sched.Spec {
 	hog := workload.MustByName("stream_uncached")
 	if app.Name == hog.Name {
 		return nil
 	}
+	cfg := c.R.MachineConfig()
 	return []sched.Spec{
-		sched.AloneHalfSpec(app),
-		sched.PairSpec{Fg: app, Bg: hog, Mode: sched.BackgroundLoop},
+		sched.HalfAlone(cfg, app),
+		sched.Pair(cfg, app, hog, 0, 0, true),
 	}
 }
 
@@ -333,7 +336,7 @@ func bandwidthSpecs(app *workload.Profile) []sched.Spec {
 // 0-1) when stream_uncached hogs the memory system from core 2 (one bar
 // of Figure 4).
 func (c *Context) BandwidthSensitivity(app *workload.Profile) float64 {
-	specs := bandwidthSpecs(app)
+	specs := c.bandwidthSpecs(app)
 	if specs == nil {
 		return 1 // the hog against itself is not part of the figure
 	}
@@ -346,7 +349,7 @@ func (c *Context) BandwidthSensitivity(app *workload.Profile) float64 {
 func (c *Context) Fig4Bandwidth() *Table {
 	var specs []sched.Spec
 	for _, app := range c.Apps {
-		specs = append(specs, bandwidthSpecs(app)...)
+		specs = append(specs, c.bandwidthSpecs(app)...)
 	}
 	c.submit(specs)
 

@@ -10,16 +10,17 @@ import (
 
 // featureSpecs lists every run one application's feature vector needs.
 func (c *Context) featureSpecs(app *workload.Profile) []sched.Spec {
-	specs := []sched.Spec{sched.SingleSpec{App: app, Threads: 1}}
+	cfg := c.R.MachineConfig()
+	specs := []sched.Spec{sched.Alone(cfg, app, 1, 0)}
 	for th := 2; th <= 8; th++ {
-		specs = append(specs, sched.SingleSpec{App: app, Threads: th})
+		specs = append(specs, sched.Alone(cfg, app, th, 0))
 	}
-	threads := threadsFor(app, 4)
+	threads := sched.CapThreads(app, 4)
 	for w := 2; w <= 12; w++ {
-		specs = append(specs, sched.SingleSpec{App: app, Threads: threads, Ways: w})
+		specs = append(specs, sched.Alone(cfg, app, threads, w))
 	}
-	specs = append(specs, prefetchSpecs(app)...)
-	return append(specs, bandwidthSpecs(app)...)
+	specs = append(specs, c.prefetchSpecs(app)...)
+	return append(specs, c.bandwidthSpecs(app)...)
 }
 
 // FeatureVector builds the 19-feature characterization vector of §3.5
@@ -34,7 +35,7 @@ func (c *Context) FeatureVector(app *workload.Profile) []float64 {
 	for th := 2; th <= 8; th++ {
 		vec = append(vec, c.singleSeconds(app, th, 0)/t1)
 	}
-	threads := threadsFor(app, 4)
+	threads := sched.CapThreads(app, 4)
 	full := c.singleSeconds(app, threads, 12)
 	for w := 2; w <= 11; w++ {
 		vec = append(vec, c.singleSeconds(app, threads, w)/full)

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/workload"
 )
@@ -114,80 +113,14 @@ func warmAll(runners []*sched.Runner, sweeps ...[]sched.Spec) {
 // the simulations themselves saturate the machine.
 func (c *Context) submit(specs []sched.Spec) { c.R.Warm(specs) }
 
-// pairMix describes the §5 co-run shape — a 4-thread latency-sensitive
-// foreground with a 4-thread co-runner, packed onto disjoint core
-// halves — as a declarative scenario. fgWays/bgWays of 0/0 leave the
-// LLC shared; a non-zero split pins the foreground to the low ways and
-// the co-runner to the high ways. once=true runs the co-runner to
-// completion instead of looping (the §5.3 consolidation accounting).
-func pairMix(assoc int, fg, bg *workload.Profile, fgWays, bgWays int, once bool) *scenario.Scenario {
-	loop := !once
-	s := &scenario.Scenario{
-		Name: "pair",
-		Jobs: []scenario.JobDef{
-			{App: fg.Name, Role: scenario.RoleLatency, Threads: 4},
-			{App: bg.Name, Role: scenario.RoleBatch, Threads: 4, Loop: &loop},
-		},
-	}
-	if fgWays > 0 || bgWays > 0 {
-		s.Partition.Policy = scenario.PolicyRef{Name: scenario.PartitionExplicit}
-		s.Jobs[0].Ways = &[2]int{0, fgWays}
-		s.Jobs[1].Ways = &[2]int{assoc - bgWays, assoc}
-	}
-	return s
-}
-
-// pairRun compiles the §5 pair shape down to the engine's mix spec.
-// The compiled mix reduces to the same memo entry as the legacy
-// sched.PairSpec, so scenario-expressed drivers dedup against the
-// partition searches and each other exactly as before.
-func (c *Context) pairRun(fg, bg *workload.Profile, fgWays, bgWays int, once bool) sched.Spec {
-	cfg := c.R.MachineConfig()
-	mix, err := pairMix(cfg.Hier.LLC.Assoc, fg, bg, fgWays, bgWays, once).Compile(cfg)
-	if err != nil {
-		panic("experiments: " + err.Error())
-	}
-	return mix
-}
-
-// multiRun compiles the §6.3 multi-peer shape — the foreground with n
-// continuously-looping copies of bg, one core each — as a scenario.
-func (c *Context) multiRun(fg, bg *workload.Profile, n int) sched.Spec {
-	s := &scenario.Scenario{
-		Name: "multi",
-		Jobs: []scenario.JobDef{{App: fg.Name, Role: scenario.RoleLatency, Threads: 4}},
-	}
-	for i := 0; i < n; i++ {
-		// Explicit bg<i> seeds match the engine's multi-peer naming even
-		// for a single copy (the lone-co-runner default would be "bg").
-		s.Jobs = append(s.Jobs, scenario.JobDef{
-			App: bg.Name, Role: scenario.RoleBatch, Threads: 2,
-			Seed: fmt.Sprintf("bg%d", i),
-		})
-	}
-	mix, err := s.Compile(c.R.MachineConfig())
-	if err != nil {
-		panic("experiments: " + err.Error())
-	}
-	return mix
-}
-
-// threadsFor caps a requested operating point by the application's
-// parallelism. Delegating to the engine's rule keeps planned batch
-// specs aligned with what each spec's execution will actually run.
-func threadsFor(app *workload.Profile, want int) int {
-	return sched.CapThreads(app, want)
-}
-
 // aloneHalfSeconds returns the §5.1 foreground baseline time.
 func (c *Context) aloneHalfSeconds(app *workload.Profile) float64 {
-	return c.R.AloneHalf(app).JobByName(app.Name).Seconds
+	return c.R.Run(sched.HalfAlone(c.R.MachineConfig(), app)).JobByName(app.Name).Seconds
 }
 
 // singleSeconds runs app alone and returns its completion time.
 func (c *Context) singleSeconds(app *workload.Profile, threads, ways int) float64 {
-	res := c.R.RunSingle(sched.SingleSpec{App: app, Threads: threads, Ways: ways})
-	return res.JobByName(app.Name).Seconds
+	return c.R.Run(sched.Alone(c.R.MachineConfig(), app, threads, ways)).JobByName(app.Name).Seconds
 }
 
 // f formats a float compactly for table cells.

@@ -6,35 +6,21 @@ import (
 	"repro/internal/machine"
 	"repro/internal/partition"
 	"repro/internal/perfmon"
-	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
-// controllerInterval sizes the sampling period; the rule is shared
-// with the scenario layer and the core API through
-// partition.SamplingInterval.
-func (c *Context) controllerInterval(fg *workload.Profile) float64 {
-	return partition.SamplingInterval(fg, c.R.Scale())
-}
-
-// dynamicSpec builds the §6 controller run as a dynamic-policy
-// scenario compiled to a batchable spec. The attached decision loop is
+// dynamicSpec builds the §6 controller run: the shared-cache pair with
+// the dynamic policy's decision loop attached. The attached loop is
 // stored through lp when the caller needs its MPKI/ways time series;
 // such specs are never memoized, so each batched run attaches its own
 // fresh loop and RunBatch's completion barrier publishes the write to
 // the caller. With lp nil the spec is memoizable under the policy's
 // run key, like any other shape.
 func (c *Context) dynamicSpec(fg, bg *workload.Profile, lp **partition.Loop) sched.Spec {
-	cfg := c.R.MachineConfig()
-	s := pairMix(cfg.Hier.LLC.Assoc, fg, bg, 0, 0, false)
-	s.Partition.Policy = scenario.PolicyRef{Name: scenario.PartitionDynamic}
-	mix, err := s.CompileOnline(cfg, c.R.Scale(), lp)
-	if err != nil {
-		panic("experiments: " + err.Error())
-	}
-	return mix
+	return partition.PairEpisode(c.R.MachineConfig(), c.R.Scale(),
+		partition.MustNew("dynamic", nil), fg, bg, lp)
 }
 
 // RunDynamic co-schedules fg and bg with the §6 controller attached and
@@ -51,9 +37,10 @@ func (c *Context) RunDynamic(fg, bg *workload.Profile) (*machine.Result, *partit
 // allocations mcf runs against a ferret background confined to the
 // complementary ways; the dynamic trace uses the controller.
 func (c *Context) Fig12Phases() *Table {
+	cfg := c.R.MachineConfig()
 	mcf := workload.MustByName("429.mcf")
 	bg := workload.MustByName("ferret")
-	interval := c.controllerInterval(mcf)
+	interval := partition.SamplingInterval(mcf, c.R.Scale())
 
 	t := &Table{Title: "Figure 12: 429.mcf MPKI by phase and LLC allocation",
 		Columns: []string{"allocation", "phase-min MPKI", "phase-max MPKI", "mean MPKI", "fg time(s)"}}
@@ -77,17 +64,17 @@ func (c *Context) Fig12Phases() *Table {
 	var ctl *partition.Loop
 	specs := make([]sched.Spec, 0, len(allocs)+1)
 	for i, w := range allocs {
-		specs = append(specs, sched.PairSpec{
-			Fg: mcf, Bg: bg, Mode: sched.BackgroundLoop,
-			Setup: func(m *machine.Machine, fgJob, bgJob *machine.Job) {
-				// Static split applied through the same mask mechanism.
-				m.Hierarchy().SetWayMask(fgJob.Cores()[0], maskFirst(w))
-				for _, core := range bgJob.Cores() {
-					m.Hierarchy().SetWayMask(core, maskRange(w, 12))
-				}
-				samplers[i] = perfmon.NewSampler(m, fgJob, interval, func() int { return w })
-			},
-		})
+		pair := sched.Pair(cfg, mcf, bg, 0, 0, true)
+		pair.Setup = func(m *machine.Machine, jobs []*machine.Job) {
+			// Static split applied through the same mask mechanism.
+			fgJob, bgJob := jobs[0], jobs[1]
+			m.Hierarchy().SetWayMask(fgJob.Cores()[0], maskFirst(w))
+			for _, core := range bgJob.Cores() {
+				m.Hierarchy().SetWayMask(core, maskRange(w, 12))
+			}
+			samplers[i] = perfmon.NewSampler(m, fgJob, interval, func() int { return w })
+		}
+		specs = append(specs, pair)
 	}
 	specs = append(specs, c.dynamicSpec(mcf, bg, &ctl))
 	results := c.R.RunBatch(specs)
@@ -129,6 +116,7 @@ type Fig13Result struct {
 // the dynamic controller relative to each pair's best static
 // allocation, with shared caching as the no-isolation reference.
 func (c *Context) Fig13DynamicThroughput() *Fig13Result {
+	cfg := c.R.MachineConfig()
 	res := &Fig13Result{}
 	t := &Table{Title: "Figure 13: background throughput vs best static allocation",
 		Columns: []string{"pair", "static iters", "dynamic iters", "dyn/static",
@@ -142,8 +130,8 @@ func (c *Context) Fig13DynamicThroughput() *Fig13Result {
 	var specs []sched.Spec
 	for _, fg := range c.Reps {
 		for _, bg := range c.Reps {
-			specs = append(specs, partition.SearchSpecs(12, fg, bg)...)
-			specs = append(specs, c.pairRun(fg, bg, 0, 0, false))
+			specs = append(specs, partition.SearchSpecs(cfg, fg, bg)...)
+			specs = append(specs, sched.Pair(cfg, fg, bg, 0, 0, true))
 		}
 	}
 	nPairs := len(c.Reps) * len(c.Reps)
@@ -159,8 +147,8 @@ func (c *Context) Fig13DynamicThroughput() *Fig13Result {
 			// The Figure 13 baseline is the allocation best *for the
 			// foreground* (ties broken toward the protective split).
 			best := partition.BestForForeground(c.R, fg, bg)
-			static := c.R.Run(c.pairRun(fg, bg, best.FgWays, best.BgWays, false))
-			shared := c.R.Run(c.pairRun(fg, bg, 0, 0, false))
+			static := c.R.Run(sched.Pair(cfg, fg, bg, best.FgWays, best.BgWays, true))
+			shared := c.R.Run(sched.Pair(cfg, fg, bg, 0, 0, true))
 			dyn := dynResults[i*len(c.Reps)+j]
 
 			sIter := static.JobByName(bg.Name).Iterations

@@ -24,6 +24,7 @@ type Fig8Result struct {
 // foreground application against every background application with a
 // fully shared LLC. fgApps/bgApps default to the context's app set.
 func (c *Context) Fig8Heatmap(fgApps, bgApps []*workload.Profile) *Fig8Result {
+	cfg := c.R.MachineConfig()
 	if fgApps == nil {
 		fgApps = c.Apps
 	}
@@ -39,9 +40,9 @@ func (c *Context) Fig8Heatmap(fgApps, bgApps []*workload.Profile) *Fig8Result {
 	// its row of pairs. Results come back in submission order.
 	var specs []sched.Spec
 	for _, fg := range fgApps {
-		specs = append(specs, sched.AloneHalfSpec(fg))
+		specs = append(specs, sched.HalfAlone(cfg, fg))
 		for _, bg := range bgApps {
-			specs = append(specs, c.pairRun(fg, bg, 0, 0, false))
+			specs = append(specs, sched.Pair(cfg, fg, bg, 0, 0, true))
 		}
 	}
 	results := c.R.RunBatch(specs)
@@ -132,6 +133,7 @@ type Fig9Result struct {
 // shared, fair, and best-biased partitioning for every ordered pair of
 // representatives.
 func (c *Context) Fig9StaticPolicies() *Fig9Result {
+	cfg := c.R.MachineConfig()
 	res := &Fig9Result{
 		Avg:    map[string]float64{},
 		Worst:  map[string]float64{},
@@ -149,10 +151,10 @@ func (c *Context) Fig9StaticPolicies() *Fig9Result {
 	var specs []sched.Spec
 	for _, fg := range c.Reps {
 		for _, bg := range c.Reps {
-			specs = append(specs, partition.SearchSpecs(assoc, fg, bg)...)
+			specs = append(specs, partition.SearchSpecs(cfg, fg, bg)...)
 			specs = append(specs,
-				c.pairRun(fg, bg, 0, 0, false),
-				c.pairRun(fg, bg, assoc/2, assoc-assoc/2, false))
+				sched.Pair(cfg, fg, bg, 0, 0, true),
+				sched.Pair(cfg, fg, bg, assoc/2, assoc-assoc/2, true))
 		}
 	}
 	c.submit(specs)
@@ -174,7 +176,7 @@ func (c *Context) Fig9StaticPolicies() *Fig9Result {
 				} else {
 					fgW, bgW = partition.PairWays(pol, assoc)
 				}
-				pair := c.R.Run(c.pairRun(fg, bg, fgW, bgW, false))
+				pair := c.R.Run(sched.Pair(cfg, fg, bg, fgW, bgW, true))
 				sd := pair.JobByName(fg.Name).Seconds / alone
 				res.Outcomes = append(res.Outcomes, PolicyOutcome{
 					Fg: fg.Name, Bg: bg.Name, Policy: pol.Name(),
@@ -214,6 +216,7 @@ type ConsolidationOutcome struct {
 // and weighted speedup of concurrent execution versus running each
 // application sequentially on the whole machine.
 func (c *Context) Fig10and11Consolidation() (*Table, *Table, []ConsolidationOutcome) {
+	cfg := c.R.MachineConfig()
 	e := &Table{Title: "Figure 10: socket energy vs sequential execution",
 		Columns: []string{"pair", "shared", "fair", "biased"}}
 	w := &Table{Title: "Figure 11: weighted speedup vs sequential execution",
@@ -227,13 +230,13 @@ func (c *Context) Fig10and11Consolidation() (*Table, *Table, []ConsolidationOutc
 	// fair consolidation runs — everything whose spec is known up front.
 	var stage1 []sched.Spec
 	for i, a := range c.Reps {
-		stage1 = append(stage1, sched.AloneWholeSpec(a))
+		stage1 = append(stage1, sched.WholeAlone(cfg, a))
 		for j := i; j < len(c.Reps); j++ {
 			b := c.Reps[j]
-			stage1 = append(stage1, partition.SearchSpecs(assoc, a, b)...)
+			stage1 = append(stage1, partition.SearchSpecs(cfg, a, b)...)
 			stage1 = append(stage1,
-				c.pairRun(a, b, 0, 0, true),
-				c.pairRun(a, b, assoc/2, assoc-assoc/2, true))
+				sched.Pair(cfg, a, b, 0, 0, false),
+				sched.Pair(cfg, a, b, assoc/2, assoc-assoc/2, false))
 		}
 	}
 	c.submit(stage1)
@@ -245,7 +248,7 @@ func (c *Context) Fig10and11Consolidation() (*Table, *Table, []ConsolidationOutc
 		for j := i; j < len(c.Reps); j++ {
 			b := c.Reps[j]
 			ch := partition.BestBiased(c.R, a, b)
-			stage2 = append(stage2, c.pairRun(a, b, ch.FgWays, ch.BgWays, true))
+			stage2 = append(stage2, sched.Pair(cfg, a, b, ch.FgWays, ch.BgWays, false))
 		}
 	}
 	c.submit(stage2)
@@ -253,8 +256,8 @@ func (c *Context) Fig10and11Consolidation() (*Table, *Table, []ConsolidationOutc
 	for i, a := range c.Reps {
 		for j := i; j < len(c.Reps); j++ {
 			b := c.Reps[j]
-			resA := c.R.AloneWhole(a)
-			resB := c.R.AloneWhole(b)
+			resA := c.R.Run(sched.WholeAlone(cfg, a))
+			resB := c.R.Run(sched.WholeAlone(cfg, b))
 			seqEnergy := resA.Energy.SocketJoules + resB.Energy.SocketJoules
 			aAlone := resA.JobByName(a.Name).Seconds
 			bAlone := resB.JobByName(b.Name).Seconds
@@ -269,7 +272,7 @@ func (c *Context) Fig10and11Consolidation() (*Table, *Table, []ConsolidationOutc
 				} else {
 					fgW, bgW = partition.PairWays(pol, assoc)
 				}
-				pair := c.R.Run(c.pairRun(a, b, fgW, bgW, true))
+				pair := c.R.Run(sched.Pair(cfg, a, b, fgW, bgW, false))
 				relE := pair.Energy.SocketJoules / seqEnergy
 				ws := aAlone/pair.JobByName(a.Name).Seconds +
 					bAlone/pair.JobByName(b.Name).Seconds

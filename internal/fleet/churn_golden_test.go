@@ -40,7 +40,7 @@ func loadChurn(t *testing.T) *scenario.Scenario {
 func TestFleetChurn50Golden(t *testing.T) {
 	s := loadChurn(t)
 	r := sched.New(sched.Options{Scale: quickScale})
-	rep, err := fleet.Run(r, s.Name, s.Fleet)
+	rep, err := fleet.RunWith(r, s.Name, s.Fleet, fleet.RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestChurnByteIdentity(t *testing.T) {
 			def.Fidelity = tier
 			run := func(opt sched.Options) string {
 				opt.Scale = quickScale
-				rep, err := fleet.Run(sched.New(opt), s.Name, &def)
+				rep, err := fleet.RunWith(sched.New(opt), s.Name, &def, fleet.RunOpts{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -148,7 +148,7 @@ func TestFleetChurn300Golden(t *testing.T) {
 	if counts.Failures == 0 || counts.Drains == 0 || counts.Ups == 0 || counts.BatchArrivals == 0 || s.Fleet.Hysteresis == 0 {
 		t.Fatalf("fixture no longer mixes failures, drains, ups, batch arrivals, and hysteresis: %+v", counts)
 	}
-	rep, err := fleet.Run(sched.New(sched.Options{Scale: quickScale}), s.Name, s.Fleet)
+	rep, err := fleet.RunWith(sched.New(sched.Options{Scale: quickScale}), s.Name, s.Fleet, fleet.RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,11 +13,11 @@ import (
 // probeAloneMix is the profiling run of the fast tiers: the canonical
 // alone-half mix with the MRC monitor attached. The monitor is
 // shadow-only, so the run's timing/energy fields are byte-identical to
-// aloneMix's — the fast tiers' alone baselines are exact — while the
-// ProbeKey gives the run a memo/disk key that can never alias the
-// unprobed mix (or another model version).
-func (h halfMixes) probeAloneMix(app *workload.Profile) sched.MixSpec {
-	mix := h.aloneMix(app)
+// the unprobed alone run's — the fast tiers' alone baselines are exact
+// — while the ProbeKey gives the run a memo/disk key that can never
+// alias the unprobed mix (or another model version).
+func (o *oracle) probeAloneMix(app *workload.Profile) sched.MixSpec {
+	mix := o.pin(sched.HalfAlone(o.cfg, app))
 	mix.Setup = model.ProbeSetup()
 	mix.ProbeKey = model.ProbeKey()
 	return mix
@@ -29,9 +29,8 @@ func (h halfMixes) probeAloneMix(app *workload.Profile) sched.MixSpec {
 // borderline pairs whose predicted request slowdown lands within the
 // fleet's fast_margin of slowdown_limit (the band where an analytic
 // error could flip a pack-partition admission decision).
-func (o *oracle) buildFast(r *sched.Runner, d *Def, h halfMixes, pol partition.Policy,
-	searcher partition.Searcher, fgs, bgs []string, apps map[string]*workload.Profile,
-	assoc int, fid Fidelity, span obs.SpanID) error {
+func (o *oracle) buildFast(r *sched.Runner, d *Def, fgs, bgs []string, apps map[string]*workload.Profile,
+	fid Fidelity, span obs.SpanID) error {
 	o.fid = fid
 
 	var specs []sched.Spec
@@ -43,7 +42,7 @@ func (o *oracle) buildFast(r *sched.Runner, d *Def, h halfMixes, pol partition.P
 		}
 		probeAt[name] = len(specs)
 		order = append(order, name)
-		specs = append(specs, h.probeAloneMix(apps[name]))
+		specs = append(specs, o.probeAloneMix(apps[name]))
 	}
 	results := r.RunBatchIn(sched.BatchInfo{Span: span, Phase: "probe"}, specs)
 
@@ -54,11 +53,7 @@ func (o *oracle) buildFast(r *sched.Runner, d *Def, h halfMixes, pol partition.P
 	profiles := map[string]*model.Profile{}
 	for _, name := range order {
 		res := results[probeAt[name]]
-		o.alone[name] = alonePerf{
-			Seconds: res.Jobs[0].Seconds,
-			SocketW: watts(res.Energy.SocketJoules, res.WindowSeconds),
-			WallW:   watts(res.Energy.WallJoules, res.WindowSeconds),
-		}
+		o.alone[name] = alonePerfOf(res)
 		p, err := model.NewProfile(name, apps[name].MLP, res, 0, o.cfg)
 		if err != nil {
 			psp.End()
@@ -70,7 +65,7 @@ func (o *oracle) buildFast(r *sched.Runner, d *Def, h halfMixes, pol partition.P
 	est := model.NewEstimator(o.cfg)
 	for _, fg := range fgs {
 		for _, bg := range bgs {
-			o.pair[pairKey(fg, bg)] = predictPair(est, pol, searcher, profiles[fg], profiles[bg], assoc)
+			o.pair[pairKey(fg, bg)] = predictPair(est, o.plan, profiles[fg], profiles[bg], o.cfg.Hier.LLC.Assoc)
 			o.predicted++
 		}
 	}
@@ -84,68 +79,35 @@ func (o *oracle) buildFast(r *sched.Runner, d *Def, h halfMixes, pol partition.P
 	// Auto: re-simulate the borderline pairs exactly, in the same spec
 	// order the exact tier would have planned them.
 	limit, margin := d.slowdownLimit(), d.fastMargin()
-	var exact []sched.Spec
-	exactAt := map[string]int{}
-	for _, fg := range fgs {
-		for _, bg := range bgs {
-			key := pairKey(fg, bg)
-			diff := o.pair[key].FgSlowdown - limit
-			if diff < 0 {
-				diff = -diff
-			}
-			if diff > margin {
-				continue
-			}
-			exactAt[key] = len(exact)
-			exact = append(exact, pairSpecs(r, h, apps[fg], apps[bg], pol, searcher, assoc)...)
+	var border [][2]string
+	for _, p := range crossPairs(fgs, bgs) {
+		diff := o.pair[pairKey(p[0], p[1])].FgSlowdown - limit
+		if diff < 0 {
+			diff = -diff
 		}
+		if diff > margin {
+			continue
+		}
+		border = append(border, p)
 	}
-	if len(exact) == 0 {
+	if len(border) == 0 {
 		return nil
 	}
-	exactRes := r.RunBatchIn(sched.BatchInfo{Span: span, Phase: "resim"}, exact)
-	for _, fg := range fgs {
-		for _, bg := range bgs {
-			key := pairKey(fg, bg)
-			at, ok := exactAt[key]
-			if !ok {
-				continue
-			}
-			o.pair[key] = harvestPair(exactRes, at, pol, searcher, assoc, o.alone[fg].Seconds)
-			o.predicted--
-			o.resimmed++
-		}
-	}
+	o.simulate(r, span, "resim", apps, nil, border)
+	o.predicted -= len(border)
+	o.resimmed += len(border)
 	return nil
 }
 
-// predictPair forecasts one co-location under the partition policy,
-// mirroring the exact tier's dispatch: a Searcher picks over predicted
-// candidates with its own selection rule, an online policy gets the
-// split that maximizes combined predicted hit rate (the utility
-// objective), and an offline policy is priced at its static split —
-// or at the LRU-competition equilibrium when it leaves the cache
-// shared.
-func predictPair(est *model.Estimator, pol partition.Policy, searcher partition.Searcher,
-	fg, bg *model.Profile, assoc int) pairPerf {
+// predictPair forecasts one co-location under the partition policy's
+// pair plan: each planned split is priced analytically — an
+// unpartitioned split at the LRU-competition equilibrium — and the
+// plan's rule picks the winner. An online policy is priced at the split
+// that maximizes combined predicted hit rate (the utility objective).
+func predictPair(est *model.Estimator, plan partition.PairPlan, fg, bg *model.Profile, assoc int) pairPerf {
 	var pred model.PairPrediction
 	var fgWays int
-	switch {
-	case searcher != nil:
-		cands := make([]partition.Candidate, assoc-1)
-		preds := make([]model.PairPrediction, assoc-1)
-		for w := 1; w < assoc; w++ {
-			p := est.PredictPair(fg, bg, float64(w), float64(assoc-w))
-			preds[w-1] = p
-			cands[w-1] = partition.Candidate{
-				FgWays:       w,
-				FgSlowdown:   p.FgSlowdown,
-				BgThroughput: p.BgRate * p.FgSeconds,
-			}
-		}
-		pick := searcher.Pick(cands)
-		pred, fgWays = preds[pick], cands[pick].FgWays
-	case pol.Online():
+	if plan.Online() {
 		best, bestVal := assoc/2, -1.0
 		for w := 1; w < assoc; w++ {
 			v := fg.HitRatePerSec(float64(w)) + bg.HitRatePerSec(float64(assoc-w))
@@ -154,14 +116,24 @@ func predictPair(est *model.Estimator, pol partition.Policy, searcher partition.
 			}
 		}
 		pred, fgWays = est.PredictPair(fg, bg, float64(best), float64(assoc-best)), best
-	default:
-		fgW, bgW := partition.PairWays(pol, assoc)
-		if fgW == 0 && bgW == 0 {
-			wf, wb := est.SharedWays(fg, bg)
-			pred, fgWays = est.PredictPair(fg, bg, wf, wb), 0
-		} else {
-			pred, fgWays = est.PredictPair(fg, bg, float64(fgW), float64(bgW)), fgW
+	} else {
+		cands := make([]partition.Candidate, len(plan.Splits))
+		preds := make([]model.PairPrediction, len(plan.Splits))
+		for i, s := range plan.Splits {
+			wf, wb := float64(s[0]), float64(s[1])
+			if s == [2]int{} {
+				wf, wb = est.SharedWays(fg, bg)
+			}
+			p := est.PredictPair(fg, bg, wf, wb)
+			preds[i] = p
+			cands[i] = partition.Candidate{
+				FgWays:       s[0],
+				FgSlowdown:   p.FgSlowdown,
+				BgThroughput: p.BgRate * p.FgSeconds,
+			}
 		}
+		pick := plan.Pick(cands)
+		pred, fgWays = preds[pick], cands[pick].FgWays
 	}
 	return pairPerf{
 		FgSeconds:  pred.FgSeconds,

@@ -107,7 +107,7 @@ func TestAutoWideMarginMatchesExact(t *testing.T) {
 
 	exactDef := *def
 	exactDef.Fidelity = FidelityExact
-	exact, err := Run(r, "wide-margin", &exactDef)
+	exact, err := RunWith(r, "wide-margin", &exactDef, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestAutoWideMarginMatchesExact(t *testing.T) {
 	autoDef := *def
 	autoDef.Fidelity = FidelityAuto
 	autoDef.FastMargin = 99
-	auto, err := Run(r, "wide-margin", &autoDef)
+	auto, err := RunWith(r, "wide-margin", &autoDef, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

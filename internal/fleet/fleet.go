@@ -51,28 +51,6 @@ func Policies() []PolicyName {
 	return []PolicyName{SpreadIdle, PackPartition, UtilTarget}
 }
 
-// PartitionMode names the partition policy of co-located machines: any
-// policy in the partition registry. The legacy mode constants below
-// remain the common choices; dispatch is entirely through the policy
-// interface, so a newly registered policy (e.g. utility) works in
-// fleet scenarios with no fleet-layer change.
-type PartitionMode string
-
-const (
-	// PartShared leaves co-located machines unpartitioned.
-	PartShared PartitionMode = "shared"
-	// PartBiased gives the request the protective static split found
-	// by the exhaustive way search (the default). In the fleet the
-	// biased policy defaults to its foreground-protective rule
-	// (partition.PickForForeground) unless partition_params overrides.
-	PartBiased PartitionMode = "biased"
-	// PartDynamic attaches the §6 online controller to every
-	// co-location episode.
-	PartDynamic PartitionMode = "dynamic"
-	// PartUtility runs UCP-style utility partitioning per episode.
-	PartUtility PartitionMode = "utility"
-)
-
 // Fidelity selects the oracle's simulation tier: how the per-pair
 // co-location numbers the event loop consumes are obtained. The alone
 // baselines are cycle-accurate in every tier.
@@ -124,9 +102,12 @@ type Def struct {
 	// identical trace (default: all of them).
 	Policies []PolicyName `json:"policies,omitempty"`
 	// Partition is the LLC policy of co-located machines: any
-	// registered partition policy name (default biased, in its
-	// foreground-protective form).
-	Partition PartitionMode `json:"partition,omitempty"`
+	// registered partition policy name. The default is biased, which
+	// the fleet runs in its foreground-protective form
+	// (partition.PickForForeground) unless partition_params overrides.
+	// Dispatch is entirely through the policy's pair plan, so a newly
+	// registered policy works in fleet scenarios with no fleet change.
+	Partition string `json:"partition,omitempty"`
 	// PartitionParams optionally parameterizes the partition policy
 	// (the scenario layer's policy params block).
 	PartitionParams json.RawMessage `json:"partition_params,omitempty"`
@@ -177,9 +158,9 @@ func (d *Def) policies() []PolicyName {
 	return d.Policies
 }
 
-func (d *Def) partition() PartitionMode {
+func (d *Def) partition() string {
 	if d.Partition == "" {
-		return PartBiased
+		return "biased"
 	}
 	return d.Partition
 }
@@ -189,7 +170,7 @@ func (d *Def) partition() PartitionMode {
 // Figure 13 rule — unless partition_params picks another.
 func (d *Def) policy() (partition.Policy, error) {
 	params := d.PartitionParams
-	if d.partition() == PartBiased {
+	if d.partition() == "biased" {
 		// The fleet's biased default is the protective Figure 13 rule;
 		// inject it whenever the params block does not pick one itself
 		// (an empty or rule-less block must not silently flip to the
@@ -208,7 +189,7 @@ func (d *Def) policy() (partition.Policy, error) {
 			}
 		}
 	}
-	name := string(d.partition())
+	name := d.partition()
 	p, err := partition.New(name, params)
 	if err != nil {
 		for _, n := range partition.Names() {
@@ -220,37 +201,12 @@ func (d *Def) policy() (partition.Policy, error) {
 			name, strings.Join(partition.Names(), ", "))
 	}
 	// Every co-location episode is the two-job pair shape; reject
-	// policies whose shape rules cannot hold there. Assoc is not known
-	// until the oracle resolves the platform, so assoc-dependent rules
-	// are re-checked there through checkEpisodeShape.
-	if err := p.CheckMix(episodeSnapshot(0)); err != nil {
-		return nil, fmt.Errorf("fleet: partition mode %s: %w", d.partition(), err)
-	}
-	if name == "explicit" {
-		// Explicit takes per-job declared way ranges; fleet episodes
-		// declare none, so the mode would silently run as shared.
-		return nil, fmt.Errorf("fleet: partition mode explicit needs per-job way ranges, which fleet episodes cannot declare (use shared, fair, biased, dynamic, or utility)")
+	// policies the pair cannot express. Assoc is not known until the
+	// oracle resolves the platform, which re-checks through the plan.
+	if err := partition.CheckPair(p, 0); err != nil {
+		return nil, fmt.Errorf("fleet: partition mode %s: %w", name, err)
 	}
 	return p, nil
-}
-
-// episodeSnapshot is the co-location episode's shape as the policy
-// layer sees it: a latency request over a batch occupant. assoc 0 =
-// platform not yet known.
-func episodeSnapshot(assoc int) *partition.Snapshot {
-	return &partition.Snapshot{Assoc: assoc, Jobs: []partition.JobView{{Latency: true}, {}}}
-}
-
-// checkEpisodeShape re-validates the partition policy against the real
-// LLC geometry once the oracle has resolved the platform — the fleet
-// analogue of the scenario planner's plan-time CheckMix, turning bad
-// assoc-dependent params (e.g. utility min_ways too large) into a
-// descriptive error instead of a mid-run panic.
-func (d *Def) checkEpisodeShape(p partition.Policy, assoc int) error {
-	if err := p.CheckMix(episodeSnapshot(assoc)); err != nil {
-		return fmt.Errorf("fleet: partition mode %s: %w", d.partition(), err)
-	}
-	return nil
 }
 
 func (d *Def) slowdownLimit() float64 {

@@ -33,7 +33,7 @@ func TestFleetParallelismByteIdentical(t *testing.T) {
 	var outs []string
 	for _, par := range []int{1, 8} {
 		r := sched.New(sched.Options{Scale: testScale, Parallelism: par})
-		rep, err := Run(r, "par-test", def)
+		rep, err := RunWith(r, "par-test", def, RunOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,11 +49,11 @@ func TestFleetDynamicParallelismByteIdentical(t *testing.T) {
 	// episodes through the batch workers; their results must still be
 	// order-independent.
 	def := testDef()
-	def.Partition = PartDynamic
+	def.Partition = "dynamic"
 	var outs []string
 	for _, par := range []int{1, 8} {
 		r := sched.New(sched.Options{Scale: testScale, Parallelism: par})
-		rep, err := Run(r, "dyn-par-test", def)
+		rep, err := RunWith(r, "dyn-par-test", def, RunOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +66,7 @@ func TestFleetDynamicParallelismByteIdentical(t *testing.T) {
 
 func TestFleetRunShape(t *testing.T) {
 	r := sched.New(sched.Options{Scale: testScale})
-	rep, err := Run(r, "shape", testDef())
+	rep, err := RunWith(r, "shape", testDef(), RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,13 +125,13 @@ func TestFleetSharedVsBiasedPartition(t *testing.T) {
 		Backlog:  []loadgen.BatchDef{{App: "canneal", Count: 2, Iterations: 200}},
 	}
 	r := sched.New(sched.Options{Scale: testScale})
-	biased, err := Run(r, "biased", def)
+	biased, err := RunWith(r, "biased", def, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	shared := *def
-	shared.Partition = PartShared
-	sharedRep, err := Run(r, "shared", &shared)
+	shared.Partition = "shared"
+	sharedRep, err := RunWith(r, "shared", &shared, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestFleetBacklogOnly(t *testing.T) {
 		Backlog:  []loadgen.BatchDef{{App: "ferret", Count: 6, Iterations: 20}},
 	}
 	r := sched.New(sched.Options{Scale: testScale})
-	rep, err := Run(r, "drain-only", def)
+	rep, err := RunWith(r, "drain-only", def, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestSpreadNeverColocatesUnderLoad(t *testing.T) {
 		Backlog:    []loadgen.BatchDef{{App: "canneal", Count: 1, Iterations: 500}},
 	}
 	r := sched.New(sched.Options{Scale: testScale})
-	rep, err := Run(r, "saturate", def)
+	rep, err := RunWith(r, "saturate", def, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,13 +246,13 @@ func TestFleetRejectsExplicitPartition(t *testing.T) {
 // platform is known — never a mid-run panic after simulation work.
 func TestFleetBadPolicyParamsErrorNotPanic(t *testing.T) {
 	def := testDef()
-	def.Partition = PartUtility
+	def.Partition = "utility"
 	def.PartitionParams = []byte(`{"min_ways": 7}`)
 	if err := def.Validate(); err != nil {
 		t.Fatalf("Validate cannot know the geometry yet: %v", err)
 	}
 	r := sched.New(sched.Options{Scale: testScale})
-	_, err := Run(r, "bad-params", def)
+	_, err := RunWith(r, "bad-params", def, RunOpts{})
 	if err == nil || !strings.Contains(err.Error(), "utility policy cannot give 2 jobs 7 way(s) each of 12") {
 		t.Fatalf("bad params: err %v", err)
 	}
@@ -264,7 +264,7 @@ func TestFleetBadPolicyParamsErrorNotPanic(t *testing.T) {
 func TestFleetBiasedRuleDefault(t *testing.T) {
 	for _, params := range []string{"", "{}"} {
 		def := testDef()
-		def.Partition = PartBiased
+		def.Partition = "biased"
 		if params != "" {
 			def.PartitionParams = []byte(params)
 		}
@@ -278,7 +278,7 @@ func TestFleetBiasedRuleDefault(t *testing.T) {
 		}
 	}
 	def := testDef()
-	def.Partition = PartBiased
+	def.Partition = "biased"
 	def.PartitionParams = []byte(`{"rule": "background"}`)
 	p, err := def.policy()
 	if err != nil {

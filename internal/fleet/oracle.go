@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/machine"
 	"repro/internal/obs"
@@ -35,13 +36,17 @@ type pairPerf struct {
 // oracle holds every simulation-derived number the event loop needs.
 // It is built once per fleet run by fanning all required
 // single-machine simulations through the sched engine as one batch:
-// the way sweeps of the biased partition check, the alone baselines,
-// and (in dynamic mode) one controller-driven episode per pair. All
-// memoizable specs use the canonical mix shapes, so a fleet run
-// deduplicates against pair/single runs any other driver has done.
+// the alone baselines plus each co-location's runs under the partition
+// policy's pair plan (a way sweep, a static split, or one
+// controller-driven episode). All memoizable specs use the canonical
+// mix shapes, so a fleet run deduplicates against pair/single runs any
+// other driver has done.
 type oracle struct {
-	cfg      machine.Config
-	override bool // cfg differs from the runner's template
+	cfg machine.Config
+	// pinned is cfg when it differs from the runner's template, which
+	// every mix must then carry; nil otherwise.
+	pinned *machine.Config
+	plan   partition.PairPlan
 
 	idleSocketW float64
 	idleWallW   float64
@@ -58,85 +63,11 @@ type oracle struct {
 
 func pairKey(fg, bg string) string { return fg + "\x00" + bg }
 
-// halfMixes builds the canonical mix shapes on the fleet's platform.
-type halfMixes struct {
-	cfg      machine.Config
-	override bool
-}
-
-func (h halfMixes) machine() *machine.Config {
-	if !h.override {
-		return nil
-	}
-	cfg := h.cfg
-	return &cfg
-}
-
-// aloneMix is an application alone on the front half: the same shape
-// (threads, slots, seed) as sched.AloneHalfSpec, so it shares that
-// memo entry on the default platform.
-func (h halfMixes) aloneMix(app *workload.Profile) sched.MixSpec {
-	threads := sched.CapThreads(app, h.cfg.Cores/2*h.cfg.ThreadsPerCore)
-	slots := make([]int, threads)
-	for i := range slots {
-		slots[i] = i
-	}
-	return sched.MixSpec{
-		Jobs:    []sched.MixJob{{App: app, Threads: threads, Slots: slots, Seed: "single"}},
-		Machine: h.machine(),
-	}
-}
-
-// pairMix is the §5 pair on the fleet's platform: the request on the
-// front cores, the batch occupant looping on the back cores, each
-// bounded to the given way range ([0,0) = full cache). The w-split
-// convention of the sweep — request in the low ways, occupant in the
-// high ways — is splitRanges. Identical to sched.PairSpec's mix on the
-// default platform.
-func (h halfMixes) pairMix(fg, bg *workload.Profile, fgR, bgR [2]int) sched.MixSpec {
-	half := h.cfg.Cores / 2
-	frontCores := make([]int, half)
-	backCores := make([]int, half)
-	for i := 0; i < half; i++ {
-		frontCores[i], backCores[i] = i, half+i
-	}
-	htPerHalf := half * h.cfg.ThreadsPerCore
-	return sched.MixSpec{
-		Jobs: []sched.MixJob{
-			{App: fg, Threads: sched.CapThreads(fg, htPerHalf),
-				Slots: h.cfg.SlotsForCores(frontCores...), Seed: "fg",
-				WayFirst: fgR[0], WayLim: fgR[1]},
-			{App: bg, Threads: sched.CapThreads(bg, htPerHalf),
-				Slots: h.cfg.SlotsForCores(backCores...), Background: true,
-				Seed: "bg", WayFirst: bgR[0], WayLim: bgR[1]},
-		},
-		Machine: h.machine(),
-	}
-}
-
-// splitRanges is the sweep convention: request ways [0, w), occupant
-// ways [w, assoc); w == 0 leaves the cache fully shared.
-func splitRanges(w, assoc int) (fgR, bgR [2]int) {
-	if w > 0 {
-		fgR = [2]int{0, w}
-		bgR = [2]int{w, assoc}
-	}
-	return fgR, bgR
-}
-
-// onlinePairMix is a co-location episode under an online policy: the
-// shared-cache pair with the policy's decision loop attached, keyed by
-// the policy's RunKey so episodes memoize and disk-cache without
-// aliasing across policies.
-func (h halfMixes) onlinePairMix(fg, bg *workload.Profile, pol partition.Policy, interval float64) sched.MixSpec {
-	mix := h.pairMix(fg, bg, [2]int{}, [2]int{})
-	mix.Setup = func(m *machine.Machine, jobs []*machine.Job) {
-		partition.AttachLoop(m, []partition.LoopJob{
-			{Job: jobs[0], Cores: jobs[0].Cores(), App: fg.Name, Latency: true},
-			{Job: jobs[1], Cores: jobs[1].Cores(), App: bg.Name},
-		}, pol, interval)
-	}
-	mix.PolicyKey = partition.RunKey(pol, interval, []bool{true, false})
+// pin lays a canonical mix onto the fleet's platform: a mix built on a
+// platform other than the runner's template must carry it, which also
+// keys it apart from the template's runs.
+func (o *oracle) pin(mix sched.MixSpec) sched.MixSpec {
+	mix.Machine = o.pinned
 	return mix
 }
 
@@ -147,23 +78,33 @@ func (h halfMixes) onlinePairMix(fg, bg *workload.Profile, pol partition.Policy,
 func buildOracle(r *sched.Runner, d *Def, parent obs.SpanID) (*oracle, error) {
 	osp := r.Tracer().Start("oracle", parent,
 		obs.String("fidelity", string(d.fidelity())),
-		obs.String("partition", string(d.partition())))
+		obs.String("partition", d.partition()))
 	// End is idempotent: error paths end the span bare, the success
 	// path ends it with pair-table attrs first.
 	defer osp.End()
 	cfg := r.MachineConfig()
-	override := false
+	var pinned *machine.Config
 	if d.Cores > 0 && d.Cores != cfg.Cores {
-		cfg, override = machine.DefaultWithCores(d.Cores), true
+		cfg = machine.DefaultWithCores(d.Cores)
+		pinned = &cfg
 	}
 	if cfg.Cores < 2 || cfg.Cores%2 != 0 {
 		return nil, fmt.Errorf("fleet: machines need an even core count >= 2, got %d", cfg.Cores)
 	}
-	h := halfMixes{cfg: cfg, override: override}
-	assoc := cfg.Hier.LLC.Assoc
+	pol, err := d.policy()
+	if err != nil {
+		return nil, err
+	}
+	// The pair plan re-checks the policy against the real LLC geometry,
+	// turning bad assoc-dependent params (e.g. utility min_ways too
+	// large) into a descriptive error instead of a mid-run panic.
+	plan, err := partition.PlanPair(pol, cfg.Hier.LLC.Assoc)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: partition mode %s: %w", d.partition(), err)
+	}
 
 	o := &oracle{
-		cfg: cfg, override: override,
+		cfg: cfg, pinned: pinned, plan: plan,
 		idleSocketW: cfg.Energy.IdlePowerSocket(cfg.Cores),
 		idleWallW:   cfg.Energy.IdlePowerWall(cfg.Cores),
 		alone:       map[string]alonePerf{},
@@ -191,187 +132,89 @@ func buildOracle(r *sched.Runner, d *Def, parent obs.SpanID) (*oracle, error) {
 		apps[name] = workload.MustByName(name)
 	}
 
-	// One batch: alone baselines for every app, then per (fg, bg) pair
-	// either the full way sweep (biased), the shared co-run, or one
-	// controller-driven episode (dynamic).
-	var specs []sched.Spec
-	aloneAt := map[string]int{}
-	for _, name := range fgs {
-		aloneAt[name] = len(specs)
-		specs = append(specs, h.aloneMix(apps[name]))
-	}
-	for _, name := range bgs {
-		if _, dup := aloneAt[name]; dup {
-			continue
-		}
-		aloneAt[name] = len(specs)
-		specs = append(specs, h.aloneMix(apps[name]))
-	}
-
-	// Per (fg, bg) pair, the specs the fleet's partition policy needs:
-	// a Searcher sweeps every uneven split, an online policy runs one
-	// loop-attached episode, and an offline policy runs the single
-	// static split its Decide picks for the pair shape. All dispatch is
-	// through the policy interface — a newly registered policy needs no
-	// fleet change.
-	pol, err := d.policy()
-	if err != nil {
-		return nil, err
-	}
-	if err := d.checkEpisodeShape(pol, assoc); err != nil {
-		return nil, err
-	}
-	searcher, _ := pol.(partition.Searcher)
-
 	if fid := d.fidelity(); fid != FidelityExact {
 		// The analytic tiers replace the per-pair simulations with MRC
 		// predictions (re-simulating borderline pairs under auto); the
 		// alone baselines stay exact in every tier.
-		if err := o.buildFast(r, d, h, pol, searcher, fgs, append(append([]string{}, bgs...), evBgs...), apps, assoc, fid, osp.ID()); err != nil {
+		if err := o.buildFast(r, d, fgs, append(append([]string{}, bgs...), evBgs...), apps, fid, osp.ID()); err != nil {
 			return nil, err
 		}
 		osp.End(obs.Int("alone", len(o.alone)), obs.Int("pairs", len(o.pair)))
 		return o, nil
 	}
 
-	pairAt := map[string]int{} // first spec index of the pair's runs
-	for _, fg := range fgs {
-		for _, bg := range bgs {
-			pairAt[pairKey(fg, bg)] = len(specs)
-			specs = append(specs, pairSpecs(r, h, apps[fg], apps[bg], pol, searcher, assoc)...)
-		}
-	}
-
-	results := r.RunBatchIn(sched.BatchInfo{Span: osp.ID(), Phase: "oracle"}, specs)
-
-	for name, at := range aloneAt {
-		res := results[at]
-		o.alone[name] = alonePerf{
-			Seconds: res.Jobs[0].Seconds,
-			SocketW: watts(res.Energy.SocketJoules, res.WindowSeconds),
-			WallW:   watts(res.Energy.WallJoules, res.WindowSeconds),
-		}
-	}
-
-	for _, fg := range fgs {
-		for _, bg := range bgs {
-			key := pairKey(fg, bg)
-			o.pair[key] = harvestPair(results, pairAt[key], pol, searcher, assoc, o.alone[fg].Seconds)
-		}
-	}
-
+	o.simulate(r, osp.ID(), "oracle", apps, append(append([]string{}, fgs...), bgs...), crossPairs(fgs, bgs))
 	// Event-only apps get their own "replace" batch: the alone baseline
 	// (unless an arrival class already priced it) plus one pair per
 	// request class, so re-placement after churn dedups against the
 	// initial batch through the same memo keys.
 	if len(evBgs) > 0 {
-		var rspecs []sched.Spec
-		evAloneAt := map[string]int{}
-		for _, name := range evBgs {
-			if _, have := aloneAt[name]; have {
-				continue
-			}
-			evAloneAt[name] = len(rspecs)
-			rspecs = append(rspecs, h.aloneMix(apps[name]))
-		}
-		evPairAt := map[string]int{}
-		for _, fg := range fgs {
-			for _, bg := range evBgs {
-				evPairAt[pairKey(fg, bg)] = len(rspecs)
-				rspecs = append(rspecs, pairSpecs(r, h, apps[fg], apps[bg], pol, searcher, assoc)...)
-			}
-		}
-		rresults := r.RunBatchIn(sched.BatchInfo{Span: osp.ID(), Phase: "replace"}, rspecs)
-		for name, at := range evAloneAt {
-			res := rresults[at]
-			o.alone[name] = alonePerf{
-				Seconds: res.Jobs[0].Seconds,
-				SocketW: watts(res.Energy.SocketJoules, res.WindowSeconds),
-				WallW:   watts(res.Energy.WallJoules, res.WindowSeconds),
-			}
-		}
-		for _, fg := range fgs {
-			for _, bg := range evBgs {
-				key := pairKey(fg, bg)
-				o.pair[key] = harvestPair(rresults, evPairAt[key], pol, searcher, assoc, o.alone[fg].Seconds)
-			}
-		}
+		o.simulate(r, osp.ID(), "replace", apps, evBgs, crossPairs(fgs, evBgs))
 	}
 	osp.End(obs.Int("alone", len(o.alone)), obs.Int("pairs", len(o.pair)))
 	return o, nil
 }
 
-// pairSpecs returns the simulations one (fg, bg) co-location needs
-// under the partition policy: a Searcher sweeps every uneven split, an
-// online policy runs one loop-attached episode, and an offline policy
-// runs the single static split its Decide picks for the pair shape.
-// All dispatch is through the policy interface — a newly registered
-// policy needs no fleet change.
-func pairSpecs(r *sched.Runner, h halfMixes, fg, bg *workload.Profile, pol partition.Policy, searcher partition.Searcher, assoc int) []sched.Spec {
-	switch {
-	case searcher != nil:
-		out := make([]sched.Spec, 0, assoc-1)
-		for w := 1; w < assoc; w++ {
-			fgR, bgR := splitRanges(w, assoc)
-			out = append(out, h.pairMix(fg, bg, fgR, bgR))
+// crossPairs lists every (fg, bg) co-location, fg-major.
+func crossPairs(fgs, bgs []string) [][2]string {
+	out := make([][2]string, 0, len(fgs)*len(bgs))
+	for _, fg := range fgs {
+		for _, bg := range bgs {
+			out = append(out, [2]string{fg, bg})
 		}
-		return out
-	case pol.Online():
-		interval := partition.SamplingInterval(fg, r.Scale())
-		return []sched.Spec{h.onlinePairMix(fg, bg, pol, interval)}
-	default:
-		fgW, bgW := partition.PairWays(pol, assoc)
-		fgR, bgR := [2]int{}, [2]int{}
-		if fgW > 0 || bgW > 0 {
-			fgR = [2]int{0, fgW}
-			bgR = [2]int{assoc - bgW, assoc}
+	}
+	return out
+}
+
+// simulate runs one exact batch, traced under phase: the alone
+// baseline of every listed app not yet priced, then each listed pair's
+// runs under the pair plan, harvested into the oracle's tables. The
+// initial batch, the event-only apps' replace batch, and auto's resim
+// batch all run through it, so every tier prices a pair identically.
+func (o *oracle) simulate(r *sched.Runner, span obs.SpanID, phase string, apps map[string]*workload.Profile, alones []string, pairs [][2]string) {
+	var specs []sched.Spec
+	var priced []string // spec i is priced[i]'s alone baseline
+	for _, name := range alones {
+		if _, have := o.alone[name]; have || slices.Contains(priced, name) {
+			continue
 		}
-		return []sched.Spec{h.pairMix(fg, bg, fgR, bgR)}
+		priced = append(priced, name)
+		specs = append(specs, o.pin(sched.HalfAlone(o.cfg, apps[name])))
+	}
+	pairAt := make([]int, len(pairs))
+	for i, p := range pairs {
+		pairAt[i] = len(specs)
+		for _, mix := range o.plan.Specs(o.cfg, r.Scale(), apps[p[0]], apps[p[1]]) {
+			specs = append(specs, o.pin(mix))
+		}
+	}
+
+	results := r.RunBatchIn(sched.BatchInfo{Span: span, Phase: phase}, specs)
+	for i, name := range priced {
+		o.alone[name] = alonePerfOf(results[i])
+	}
+	for i, p := range pairs {
+		fgAlone := o.alone[p[0]].Seconds
+		out := o.plan.Harvest(results[pairAt[i]:], fgAlone)
+		res := out.Result
+		o.pair[pairKey(p[0], p[1])] = pairPerf{
+			FgSeconds:  res.Jobs[0].Seconds,
+			FgSlowdown: res.Jobs[0].Seconds / fgAlone,
+			BgRate:     rate(res.Jobs[1].Iterations, res.WindowSeconds),
+			FgWays:     out.FgWays,
+			SocketW:    watts(res.Energy.SocketJoules, res.WindowSeconds),
+			WallW:      watts(res.Energy.WallJoules, res.WindowSeconds),
+			Reallocs:   out.Reallocations,
+		}
 	}
 }
 
-// harvestPair reads one pair's pairPerf out of the batch results,
-// starting at the pair's first spec index.
-func harvestPair(results []*machine.Result, at int, pol partition.Policy, searcher partition.Searcher, assoc int, fgAlone float64) pairPerf {
-	var res *machine.Result
-	var fgWays, reallocs int
-	switch {
-	case searcher != nil:
-		// The policy's selection rule over the measured sweep;
-		// the fleet default is the protective Figure 13 rule
-		// (minimum request degradation, ties toward the larger
-		// request share).
-		cands := make([]partition.Candidate, assoc-1)
-		for w := 1; w < assoc; w++ {
-			sw := results[at+w-1]
-			cands[w-1] = partition.Candidate{
-				FgWays:       w,
-				FgSlowdown:   sw.Jobs[0].Seconds / fgAlone,
-				BgThroughput: sw.Jobs[1].Iterations,
-			}
-		}
-		fgWays = cands[searcher.Pick(cands)].FgWays
-		res = results[at+fgWays-1]
-	case pol.Online():
-		res = results[at]
-		if tr := res.Partition; tr != nil {
-			reallocs = tr.Reallocations
-			if len(tr.FinalWays) > 0 {
-				fgWays = tr.FinalWays[0]
-			}
-		}
-	default:
-		res = results[at]
-		fgWays, _ = partition.PairWays(pol, assoc)
-	}
-	return pairPerf{
-		FgSeconds:  res.Jobs[0].Seconds,
-		FgSlowdown: res.Jobs[0].Seconds / fgAlone,
-		BgRate:     rate(res.Jobs[1].Iterations, res.WindowSeconds),
-		FgWays:     fgWays,
-		SocketW:    watts(res.Energy.SocketJoules, res.WindowSeconds),
-		WallW:      watts(res.Energy.WallJoules, res.WindowSeconds),
-		Reallocs:   reallocs,
+// alonePerfOf reads an alone baseline out of its run.
+func alonePerfOf(res *machine.Result) alonePerf {
+	return alonePerf{
+		Seconds: res.Jobs[0].Seconds,
+		SocketW: watts(res.Energy.SocketJoules, res.WindowSeconds),
+		WallW:   watts(res.Energy.WallJoules, res.WindowSeconds),
 	}
 }
 

@@ -94,23 +94,11 @@ func (o RunOpts) policyWorkers(n int) int {
 	return w
 }
 
-// Run executes a fleet definition on the runner: it generates the
+// RunWith executes a fleet definition on the runner: it generates the
 // trace, fans every needed single-machine simulation through the
 // engine as one batch, then replays the identical trace under each
 // consolidation policy. Output is deterministic and byte-identical at
-// any engine parallelism.
-func Run(r *sched.Runner, name string, def *Def) (*Report, error) {
-	return RunWith(r, name, def, RunOpts{})
-}
-
-// RunSpan is Run with the trace span the fleet's spans nest under
-// (0 = root).
-func RunSpan(r *sched.Runner, name string, def *Def, parent obs.SpanID) (*Report, error) {
-	return RunWith(r, name, def, RunOpts{Parent: parent})
-}
-
-// RunWith is Run with explicit options. The span tree a traced fleet
-// run produces is:
+// any engine parallelism. The span tree a traced fleet run produces is:
 //
 //	compile                 trace generation
 //	oracle                  performance-oracle construction
@@ -374,8 +362,8 @@ func (r *Report) String() string {
 			" all-re-placed gap; slo-viol = job-minutes above the slowdown limit)\n")
 	}
 	if pol, err := r.Def.policy(); err == nil && pol.Online() {
-		label := string(r.Def.partition()) + " policy"
-		if r.Def.partition() == PartDynamic {
+		label := r.Def.partition() + " policy"
+		if r.Def.partition() == "dynamic" {
 			label = "dynamic controller"
 		}
 		for _, pr := range r.Results {

@@ -16,17 +16,21 @@ func attachController(t *testing.T, fgName, bgName string, scale float64) (*Cont
 	fg := workload.MustByName(fgName)
 	bg := workload.MustByName(bgName)
 	var ctl *Controller
-	res := r.RunPair(sched.PairSpec{
-		Fg: fg, Bg: bg, Mode: sched.BackgroundLoop,
-		Setup: func(m *machine.Machine, fgJob, bgJob *machine.Job) {
-			cfg := DefaultControllerConfig()
-			// ~500 decision intervals over the foreground run, the same
-			// ratio as 100 ms on the paper's multi-minute executions.
-			cfg.IntervalSeconds = estimateRunSeconds(fg, scale) / 500
-			ctl = Attach(m, fgJob, bgJob, cfg)
-		},
-	})
+	res := r.Run(hookedPair(r, fg, bg, func(m *machine.Machine, fgJob, bgJob *machine.Job) {
+		cfg := DefaultControllerConfig()
+		// ~500 decision intervals over the foreground run, the same
+		// ratio as 100 ms on the paper's multi-minute executions.
+		cfg.IntervalSeconds = estimateRunSeconds(fg, scale) / 500
+		ctl = Attach(m, fgJob, bgJob, cfg)
+	}))
 	return ctl, res
+}
+
+// hookedPair is the looping pair with a setup hook over its two jobs.
+func hookedPair(r *sched.Runner, fg, bg *workload.Profile, setup func(m *machine.Machine, fgJob, bgJob *machine.Job)) sched.MixSpec {
+	pair := sched.Pair(r.MachineConfig(), fg, bg, 0, 0, true)
+	pair.Setup = func(m *machine.Machine, jobs []*machine.Job) { setup(m, jobs[0], jobs[1]) }
+	return pair
 }
 
 // estimateRunSeconds gives a rough fg duration for interval sizing.
@@ -84,8 +88,7 @@ func TestControllerPreservesForegroundPerformance(t *testing.T) {
 	fg := workload.MustByName("429.mcf")
 	bg := workload.MustByName("ferret")
 	best := BestBiased(r, fg, bg)
-	static := r.RunPair(sched.PairSpec{Fg: fg, Bg: bg,
-		FgWays: best.FgWays, BgWays: best.BgWays, Mode: sched.BackgroundLoop})
+	static := r.Run(sched.Pair(r.MachineConfig(), fg, bg, best.FgWays, best.BgWays, true))
 	_, dyn := attachControllerPair(t, r, fg, bg)
 	sFg := static.JobByName(fg.Name).Seconds
 	dFg := dyn.JobByName(fg.Name).Seconds
@@ -97,14 +100,11 @@ func TestControllerPreservesForegroundPerformance(t *testing.T) {
 func attachControllerPair(t *testing.T, r *sched.Runner, fg, bg *workload.Profile) (*Controller, *machine.Result) {
 	t.Helper()
 	var ctl *Controller
-	res := r.RunPair(sched.PairSpec{
-		Fg: fg, Bg: bg, Mode: sched.BackgroundLoop,
-		Setup: func(m *machine.Machine, fgJob, bgJob *machine.Job) {
-			cfg := DefaultControllerConfig()
-			cfg.IntervalSeconds = estimateRunSeconds(fg, r.Scale()) / 500
-			ctl = Attach(m, fgJob, bgJob, cfg)
-		},
-	})
+	res := r.Run(hookedPair(r, fg, bg, func(m *machine.Machine, fgJob, bgJob *machine.Job) {
+		cfg := DefaultControllerConfig()
+		cfg.IntervalSeconds = estimateRunSeconds(fg, r.Scale()) / 500
+		ctl = Attach(m, fgJob, bgJob, cfg)
+	}))
 	return ctl, res
 }
 
@@ -117,12 +117,9 @@ func TestAttachValidation(t *testing.T) {
 			t.Fatal("zero interval accepted")
 		}
 	}()
-	r.RunPair(sched.PairSpec{
-		Fg: fg, Bg: bg, Mode: sched.BackgroundLoop,
-		Setup: func(m *machine.Machine, fgJob, bgJob *machine.Job) {
-			Attach(m, fgJob, bgJob, DefaultControllerConfig()) // no interval
-		},
-	})
+	r.Run(hookedPair(r, fg, bg, func(m *machine.Machine, fgJob, bgJob *machine.Job) {
+		Attach(m, fgJob, bgJob, DefaultControllerConfig()) // no interval
+	}))
 }
 
 func TestRelDelta(t *testing.T) {

@@ -77,11 +77,11 @@ func TestBestBiasedJobList(t *testing.T) {
 
 	// The sweep batches 11 multi splits + 1 baseline; each distinct
 	// config simulates exactly once.
-	specs := SearchSpecs(12, fg, bg, bg)
+	specs := SearchSpecs(r.MachineConfig(), fg, bg, bg)
 	if len(specs) != 12 {
 		t.Fatalf("%d search specs", len(specs))
 	}
-	if _, ok := specs[1].(sched.MultiSpec); !ok {
-		t.Fatalf("multi-peer search built %T, want MultiSpec", specs[1])
+	if n := len(specs[1].(sched.MixSpec).Jobs); n != 3 {
+		t.Fatalf("multi-peer search split has %d jobs, want 3", n)
 	}
 }

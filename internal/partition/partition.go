@@ -39,29 +39,24 @@ type BiasedChoice struct {
 const slowdownTieEps = 0.002
 
 // SearchSpecs lists every run the exhaustive biased search for a job
-// list needs — the foreground-alone baseline plus each uneven split —
-// so experiment drivers can batch the searches of many mixes up front.
-// One background peer is the §5.2 pair shape; several peers share the
-// background partition and contend within it (§6.3).
-func SearchSpecs(assoc int, fg *workload.Profile, bgs ...*workload.Profile) []sched.Spec {
+// list on platform cfg needs — the foreground-alone baseline plus each
+// uneven split — so experiment drivers can batch the searches of many
+// mixes up front. One background peer is the §5.2 pair shape; several
+// peers share the background partition and contend within it (§6.3).
+func SearchSpecs(cfg machine.Config, fg *workload.Profile, bgs ...*workload.Profile) []sched.Spec {
 	if len(bgs) == 0 {
 		panic("partition: biased search needs at least one background job")
 	}
-	specs := []sched.Spec{sched.AloneHalfSpec(fg)}
+	assoc := cfg.Hier.LLC.Assoc
+	specs := []sched.Spec{sched.HalfAlone(cfg, fg)}
 	for w := 1; w < assoc; w++ {
-		specs = append(specs, splitSpec(assoc, fg, bgs, w))
+		if len(bgs) == 1 {
+			specs = append(specs, sched.Pair(cfg, fg, bgs[0], w, assoc-w, true))
+		} else {
+			specs = append(specs, sched.Multi(cfg, fg, bgs, w, assoc-w))
+		}
 	}
 	return specs
-}
-
-// splitSpec builds the co-run of one candidate split: foreground w
-// ways, every background peer sharing the remaining assoc-w.
-func splitSpec(assoc int, fg *workload.Profile, bgs []*workload.Profile, w int) sched.Spec {
-	if len(bgs) == 1 {
-		return sched.PairSpec{Fg: fg, Bg: bgs[0],
-			FgWays: w, BgWays: assoc - w, Mode: sched.BackgroundLoop}
-	}
-	return sched.MultiSpec{Fg: fg, Bgs: bgs, FgWays: w, BgWays: assoc - w}
 }
 
 // Candidate is one allocation's measured outcome in a biased search.
@@ -72,6 +67,28 @@ type Candidate struct {
 	FgWays       int
 	FgSlowdown   float64 // foreground time / foreground-alone time
 	BgThroughput float64 // summed background iterations
+}
+
+// SweepCandidates reads the candidates of a split sweep: results[w-1]
+// ran the latency job (job index fg) in w ways with every other job
+// sharing the rest. Slowdowns are relative to the latency job's alone
+// time; throughput sums the looping jobs' iterations.
+func SweepCandidates(results []*machine.Result, fg int, fgAlone float64) []Candidate {
+	cands := make([]Candidate, len(results))
+	for i, res := range results {
+		var thru float64
+		for _, j := range res.Jobs {
+			if j.Background {
+				thru += j.Iterations
+			}
+		}
+		cands[i] = Candidate{
+			FgWays:       i + 1,
+			FgSlowdown:   res.Jobs[fg].Seconds / fgAlone,
+			BgThroughput: thru,
+		}
+	}
+	return cands
 }
 
 // PickBiased returns the index of the winning candidate under the
@@ -119,42 +136,21 @@ func PickForForeground(cands []Candidate) int {
 	return best
 }
 
-// searchCandidates runs a job list's full split sweep as one batch and
-// returns the per-split candidates.
-func searchCandidates(r *sched.Runner, assoc int, fg *workload.Profile, bgs []*workload.Profile) []Candidate {
-	results := r.RunBatch(SearchSpecs(assoc, fg, bgs...))
-	fgAlone := results[0].JobByName(fg.Name).Seconds
-
-	cands := make([]Candidate, 0, assoc-1)
-	for w := 1; w < assoc; w++ {
-		res := results[w]
-		var thru float64
-		for _, j := range res.Jobs {
-			if j.Background {
-				thru += j.Iterations
-			}
-		}
-		cands = append(cands, Candidate{
-			FgWays:       w,
-			FgSlowdown:   res.JobByName(fg.Name).Seconds / fgAlone,
-			BgThroughput: thru,
-		})
-	}
-	return cands
-}
-
 // BestSplit exhaustively evaluates every uneven split (foreground gets
 // w ways, the background peers share the remaining assoc-w, for w in
 // [1, assoc-1]) with the backgrounds running continuously, and returns
 // the choice the searcher's selection rule picks. The splits run as
 // one batch across the engine's workers.
 func BestSplit(r *sched.Runner, s Searcher, fg *workload.Profile, bgs ...*workload.Profile) BiasedChoice {
-	assoc := llcAssoc(r)
-	cands := searchCandidates(r, assoc, fg, bgs)
+	cfg := r.MachineConfig()
+	results := r.RunBatch(SearchSpecs(cfg, fg, bgs...))
+	fgAlone := results[0].JobByName(fg.Name).Seconds
+
+	cands := SweepCandidates(results[1:], 0, fgAlone)
 	ch := cands[s.Pick(cands)]
 	return BiasedChoice{
 		FgWays:       ch.FgWays,
-		BgWays:       assoc - ch.FgWays,
+		BgWays:       cfg.Hier.LLC.Assoc - ch.FgWays,
 		FgSlowdown:   ch.FgSlowdown,
 		BgThroughput: ch.BgThroughput,
 	}
@@ -196,10 +192,4 @@ func SplitWays(assoc, n int) [][2]int {
 		first += w
 	}
 	return out
-}
-
-func llcAssoc(r *sched.Runner) int {
-	// All experiments share the default platform geometry; keep a single
-	// source of truth by asking a machine config.
-	return machine.Default().Hier.LLC.Assoc
 }

@@ -52,9 +52,9 @@ func TestBestBiasedSearch(t *testing.T) {
 		t.Fatalf("mcf granted only %d ways against ferret", ch.FgWays)
 	}
 	// The choice must beat or match fair partitioning for the fg.
-	fgAlone := r.AloneHalf(fg).JobByName(fg.Name).Seconds
-	fair := r.RunPair(sched.PairSpec{Fg: fg, Bg: bg, FgWays: 6, BgWays: 6,
-		Mode: sched.BackgroundLoop}).JobByName(fg.Name).Seconds / fgAlone
+	cfg := r.MachineConfig()
+	fgAlone := r.Run(sched.HalfAlone(cfg, fg)).JobByName(fg.Name).Seconds
+	fair := r.Run(sched.Pair(cfg, fg, bg, 6, 6, true)).JobByName(fg.Name).Seconds / fgAlone
 	if ch.FgSlowdown > fair*1.02 {
 		t.Fatalf("biased slowdown %v worse than fair %v", ch.FgSlowdown, fair)
 	}

@@ -248,7 +248,7 @@ func RangeOfMask(m cache.WayMask) (first, lim int, ok bool) {
 
 // PairWays renders an offline policy's decision for the canonical
 // foreground/background pair as (fgWays, bgWays) counts, (0, 0)
-// meaning a fully shared cache — the shape sched.PairSpec takes.
+// meaning a fully shared cache — the split sched.Pair takes.
 func PairWays(p Policy, assoc int) (fgWays, bgWays int) {
 	snap := &Snapshot{Assoc: assoc, Jobs: []JobView{{Latency: true}, {}}}
 	masks := p.Decide(snap)

@@ -60,7 +60,7 @@ func (s *Scenario) Plan(base machine.Config) (*Plan, error) {
 		return nil, err
 	}
 	if s.Fleet != nil {
-		return nil, fmt.Errorf("scenario %q: fleet scenarios run on the fleet layer; use 'cachepart fleet run' or fleet.Run", s.Name)
+		return nil, fmt.Errorf("scenario %q: fleet scenarios run on the fleet layer; use 'cachepart fleet run' or fleet.RunWith", s.Name)
 	}
 	cfg, override := base, false
 	if s.Machine.Cores > 0 && s.Machine.Cores != base.Cores {

@@ -118,21 +118,7 @@ func RunSpan(r *sched.Runner, s *Scenario, parent obs.SpanID) (*Report, error) {
 		results := r.RunBatchIn(batch, specs)
 
 		fgAlone := results[fgAloneAt].Jobs[0].Seconds
-		var cands []partition.Candidate
-		for w := 1; w < assoc; w++ {
-			res := results[sweepAt+w-1]
-			var thru float64
-			for _, j := range res.Jobs {
-				if j.Background {
-					thru += j.Iterations
-				}
-			}
-			cands = append(cands, partition.Candidate{
-				FgWays:       w,
-				FgSlowdown:   res.Jobs[fg].Seconds / fgAlone,
-				BgThroughput: thru,
-			})
-		}
+		cands := partition.SweepCandidates(results[sweepAt:sweepAt+assoc-1], fg, fgAlone)
 		best := cands[searcher.Pick(cands)]
 		rep.BiasedFgWays = best.FgWays
 		ways = p.splitWays(fg, best.FgWays)

@@ -53,7 +53,7 @@ func TestParseRejectsBadScenarios(t *testing.T) {
 }
 
 // TestCompileMatchesPairSpec: the §5 pair expressed as a scenario must
-// reduce to the exact memo entry the legacy PairSpec produces — same
+// reduce to the exact memo entry sched's pair constructor builds — same
 // placement, seeds, threads, and way split — so scenario-expressed
 // drivers dedup perfectly against the historical shapes.
 func TestCompileMatchesPairSpec(t *testing.T) {
@@ -73,9 +73,9 @@ func TestCompileMatchesPairSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pair := sched.PairSpec{Fg: fg, Bg: bg, FgWays: 8, BgWays: 4, Mode: sched.BackgroundLoop}
-	if r.RunMix(mix) != r.RunPair(pair) {
-		t.Fatal("scenario pair and PairSpec did not share a memo entry")
+	pair := sched.Pair(r.MachineConfig(), fg, bg, 8, 4, true)
+	if r.RunMix(mix) != r.Run(pair) {
+		t.Fatal("scenario pair and the pair constructor did not share a memo entry")
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // MixJob is one job of a general N-job mix: an application instance
 // with a validated slot placement, an LLC way range, and a role flag.
 // The scenario layer compiles declarative job descriptions down to
-// these; SingleSpec, PairSpec, and MultiSpec build them internally.
+// these; Alone, Pair, and Multi build the canonical shapes from them.
 type MixJob struct {
 	App *workload.Profile
 	// Threads is the requested software-thread count; execution caps it
@@ -37,11 +37,10 @@ type MixJob struct {
 }
 
 // MixSpec is the general runnable scenario: N jobs on one platform.
-// Every other spec type reduces to a MixSpec — the pair and multi
-// shapes of §5 are two- and (1+N)-job mixes with pack placement — so
-// the engine has exactly one execution path, and equivalent
-// configurations deduplicate in the memo cache regardless of which
-// spec type described them.
+// It is the only spec type — the pair and multi shapes of §5 are two-
+// and (1+N)-job mixes with pack placement (Pair, Multi) — so the engine
+// has exactly one execution path, and equivalent configurations
+// deduplicate in the memo cache regardless of who built them.
 type MixSpec struct {
 	Jobs []MixJob
 	// Machine overrides the runner's platform template for this mix
@@ -156,8 +155,8 @@ func (s MixSpec) config(r *Runner) machine.Config {
 
 // wayMask returns the job's LLC replacement mask, or ok=false for the
 // full cache. Invalid ranges panic — mixes are validated at
-// construction (scenario compile, legacy wrappers), so this is an
-// engine-construction bug.
+// construction (scenario compile, the shape constructors), so this is
+// an engine-construction bug.
 func (j MixJob) wayMask(assoc int) (cache.WayMask, bool) {
 	if j.WayFirst == 0 && j.WayLim == 0 {
 		return 0, false

@@ -8,16 +8,16 @@ import (
 	"repro/internal/workload"
 )
 
-// TestLegacySpecsShareMixCache: a PairSpec and the equivalent hand-built
-// MixSpec must reduce to the same memo entry — the engine has one
-// execution path and one key space.
+// TestLegacySpecsShareMixCache: a Pair-built mix and the equivalent
+// hand-built MixSpec must reduce to the same memo entry — the engine
+// has one execution path and one key space.
 func TestLegacySpecsShareMixCache(t *testing.T) {
 	r := testRunner()
 	fg := workload.MustByName("canneal")
 	bg := workload.MustByName("ferret")
 	cfg := machine.Default()
 
-	pair := r.RunPair(PairSpec{Fg: fg, Bg: bg, FgWays: 8, BgWays: 4, Mode: BackgroundLoop})
+	pair := r.Run(Pair(testCfg, fg, bg, 8, 4, true))
 	mix := r.RunMix(MixSpec{Jobs: []MixJob{
 		{App: fg, Threads: 4, Slots: cfg.SlotsForCores(0, 1), Seed: "fg", WayFirst: 0, WayLim: 8},
 		{App: bg, Threads: 4, Slots: cfg.SlotsForCores(2, 3), Background: true, Seed: "bg", WayFirst: 8, WayLim: 12},

@@ -10,7 +10,7 @@ func TestRunMultiTwoCopies(t *testing.T) {
 	r := New(Options{Scale: 5e-4})
 	fg := workload.MustByName("fop")
 	bg := workload.MustByName("ferret")
-	res := r.RunMulti(MultiSpec{Fg: fg, Bgs: []*workload.Profile{bg, bg}})
+	res := r.Run(Multi(testCfg, fg, []*workload.Profile{bg, bg}, 0, 0))
 	if len(res.Jobs) != 3 {
 		t.Fatalf("%d jobs, want 3", len(res.Jobs))
 	}
@@ -32,9 +32,9 @@ func TestRunMultiMoreCopiesMoreContention(t *testing.T) {
 	r := New(Options{Scale: 2e-3})
 	fg := workload.MustByName("429.mcf")
 	bg := workload.MustByName("canneal")
-	one := r.RunMulti(MultiSpec{Fg: fg, Bgs: []*workload.Profile{bg}}).
+	one := r.Run(Multi(testCfg, fg, []*workload.Profile{bg}, 0, 0)).
 		JobByName(fg.Name).Seconds
-	two := r.RunMulti(MultiSpec{Fg: fg, Bgs: []*workload.Profile{bg, bg}}).
+	two := r.Run(Multi(testCfg, fg, []*workload.Profile{bg, bg}, 0, 0)).
 		JobByName(fg.Name).Seconds
 	if two < one*0.98 {
 		t.Fatalf("second background copy reduced interference: 1=%v 2=%v", one, two)
@@ -45,8 +45,7 @@ func TestRunMultiPartition(t *testing.T) {
 	r := New(Options{Scale: 5e-4})
 	fg := workload.MustByName("fop")
 	bg := workload.MustByName("ferret")
-	res := r.RunMulti(MultiSpec{Fg: fg, Bgs: []*workload.Profile{bg, bg},
-		FgWays: 8, BgWays: 4})
+	res := r.Run(Multi(testCfg, fg, []*workload.Profile{bg, bg}, 8, 4))
 	if res.JobByName(fg.Name).Seconds <= 0 {
 		t.Fatal("degenerate run")
 	}
@@ -66,7 +65,7 @@ func TestRunMultiValidation(t *testing.T) {
 					t.Errorf("%d background jobs accepted", len(bgs))
 				}
 			}()
-			r.RunMulti(MultiSpec{Fg: fg, Bgs: bgs})
+			r.Run(Multi(testCfg, fg, bgs, 0, 0))
 		}()
 	}
 }
@@ -75,8 +74,8 @@ func TestRunMultiMemoized(t *testing.T) {
 	r := New(Options{Scale: 5e-4})
 	fg := workload.MustByName("fop")
 	bg := workload.MustByName("ferret")
-	a := r.RunMulti(MultiSpec{Fg: fg, Bgs: []*workload.Profile{bg}})
-	b := r.RunMulti(MultiSpec{Fg: fg, Bgs: []*workload.Profile{bg}})
+	a := r.Run(Multi(testCfg, fg, []*workload.Profile{bg}, 0, 0))
+	b := r.Run(Multi(testCfg, fg, []*workload.Profile{bg}, 0, 0))
 	if a != b {
 		t.Fatal("multi runs not memoized")
 	}

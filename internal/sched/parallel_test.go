@@ -18,18 +18,17 @@ func sweepSpecs() []Spec {
 	ferret := workload.MustByName("ferret")
 	canneal := workload.MustByName("canneal")
 	specs := []Spec{
-		AloneHalfSpec(mcf),
-		MultiSpec{Fg: mcf, Bgs: []*workload.Profile{ferret, ferret}},
+		HalfAlone(testCfg, mcf),
+		Multi(testCfg, mcf, []*workload.Profile{ferret, ferret}, 0, 0),
 	}
 	for _, th := range []int{1, 2, 4, 8} {
-		specs = append(specs, SingleSpec{App: ferret, Threads: th})
+		specs = append(specs, Alone(testCfg, ferret, th, 0))
 	}
 	for _, w := range []int{2, 4, 6, 8} {
-		specs = append(specs, SingleSpec{App: mcf, Threads: 1, Ways: w})
-		specs = append(specs, PairSpec{Fg: mcf, Bg: canneal,
-			FgWays: w, BgWays: 12 - w, Mode: BackgroundLoop})
+		specs = append(specs, Alone(testCfg, mcf, 1, w))
+		specs = append(specs, Pair(testCfg, mcf, canneal, w, 12-w, true))
 	}
-	return append(specs, PairSpec{Fg: canneal, Bg: ferret, Mode: BothOnce})
+	return append(specs, Pair(testCfg, canneal, ferret, 0, 0, false))
 }
 
 // memoKeys returns the sorted keys of a runner's memo cache, across
@@ -77,7 +76,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 // run the simulation exactly once and all observe the same result.
 func TestSingleflight(t *testing.T) {
 	r := New(Options{Scale: 5e-4, Parallelism: 8})
-	spec := SingleSpec{App: workload.MustByName("ferret"), Threads: 4}
+	spec := Alone(testCfg, workload.MustByName("ferret"), 4, 0)
 
 	const n = 16
 	results := make([]*machine.Result, n)
@@ -88,7 +87,7 @@ func TestSingleflight(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			results[i] = r.RunSingle(spec)
+			results[i] = r.Run(spec)
 		}(i)
 	}
 	close(start)
@@ -108,7 +107,7 @@ func TestSingleflight(t *testing.T) {
 // submitted together: one simulation, shared by every slot.
 func TestRunBatchDedup(t *testing.T) {
 	r := New(Options{Scale: 5e-4, Parallelism: 4})
-	spec := SingleSpec{App: workload.MustByName("fop"), Threads: 2}
+	spec := Alone(testCfg, workload.MustByName("fop"), 2, 0)
 	specs := make([]Spec, 10)
 	for i := range specs {
 		specs[i] = spec
@@ -131,7 +130,7 @@ func TestRunBatchOrder(t *testing.T) {
 	r := New(Options{Scale: 5e-4, Parallelism: 8})
 	specs := make([]Spec, len(apps))
 	for i, name := range apps {
-		specs[i] = SingleSpec{App: workload.MustByName(name), Threads: 2}
+		specs[i] = Alone(testCfg, workload.MustByName(name), 2, 0)
 	}
 	out := r.RunBatch(specs)
 	for i, name := range apps {
@@ -150,12 +149,12 @@ func TestSetupHookNotMemoizedButBatchable(t *testing.T) {
 	bg := workload.MustByName("batik")
 	var mu sync.Mutex
 	calls := 0
-	spec := PairSpec{Fg: fg, Bg: bg, Mode: BackgroundLoop,
-		Setup: func(m *machine.Machine, f, b *machine.Job) {
-			mu.Lock()
-			calls++
-			mu.Unlock()
-		}}
+	spec := Pair(testCfg, fg, bg, 0, 0, true)
+	spec.Setup = func(*machine.Machine, []*machine.Job) {
+		mu.Lock()
+		calls++
+		mu.Unlock()
+	}
 	out := r.RunBatch([]Spec{spec, spec, spec})
 	if calls != 3 {
 		t.Fatalf("setup hook ran %d times for 3 batched specs, want 3", calls)
@@ -166,16 +165,15 @@ func TestSetupHookNotMemoizedButBatchable(t *testing.T) {
 }
 
 // TestPanickedRunDoesNotPoisonCache: a memoizable spec that panics
-// (here: an oversubscribed partition) must evict its in-flight entry,
+// (here: a way range past the LLC) must evict its in-flight entry,
 // so a retry of the same key panics again instead of deadlocking on a
 // never-closed flight.
 func TestPanickedRunDoesNotPoisonCache(t *testing.T) {
 	r := New(Options{Scale: 5e-4, Parallelism: 2})
-	bad := PairSpec{Fg: workload.MustByName("fop"), Bg: workload.MustByName("batik"),
-		FgWays: 8, BgWays: 8, Mode: BackgroundLoop}
+	bad := badWaysPair()
 	mustPanic := func() (panicked bool) {
 		defer func() { panicked = recover() != nil }()
-		r.RunPair(bad)
+		r.Run(bad)
 		return
 	}
 	if !mustPanic() {
@@ -196,14 +194,22 @@ func TestPanickedRunDoesNotPoisonCache(t *testing.T) {
 	}
 }
 
+// badWaysPair is a memoizable pair whose background way range runs
+// past the LLC: construction accepts the hand-edited range, execution
+// panics.
+func badWaysPair() MixSpec {
+	bad := Pair(testCfg, workload.MustByName("fop"), workload.MustByName("batik"), 0, 0, true)
+	bad.Jobs[1].WayFirst, bad.Jobs[1].WayLim = 4, 16
+	return bad
+}
+
 // TestRunBatchPropagatesPanic: a malformed spec in a batch must panic
 // on the submitting goroutine (as it would serially), not kill the
 // process from an unrecoverable worker goroutine.
 func TestRunBatchPropagatesPanic(t *testing.T) {
 	r := New(Options{Scale: 5e-4, Parallelism: 4})
-	good := SingleSpec{App: workload.MustByName("ferret"), Threads: 2}
-	bad := PairSpec{Fg: workload.MustByName("fop"), Bg: workload.MustByName("batik"),
-		FgWays: 8, BgWays: 8, Mode: BackgroundLoop}
+	good := Alone(testCfg, workload.MustByName("ferret"), 2, 0)
+	bad := badWaysPair()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("batch containing a malformed spec did not panic")
@@ -216,7 +222,7 @@ func TestRunBatchPropagatesPanic(t *testing.T) {
 // would otherwise run every simulation twice).
 func TestWarmRespectsDisableCache(t *testing.T) {
 	r := New(Options{Scale: 5e-4, DisableCache: true, Parallelism: 2})
-	r.Warm([]Spec{SingleSpec{App: workload.MustByName("ferret"), Threads: 1}})
+	r.Warm([]Spec{Alone(testCfg, workload.MustByName("ferret"), 1, 0)})
 	if sims := r.Stats().Simulations; sims != 0 {
 		t.Fatalf("Warm with DisableCache ran %d simulations", sims)
 	}
@@ -226,9 +232,9 @@ func TestWarmRespectsDisableCache(t *testing.T) {
 // with what a warm-then-reread pattern implies.
 func TestStatsAccounting(t *testing.T) {
 	r := New(Options{Scale: 5e-4, Parallelism: 2})
-	spec := SingleSpec{App: workload.MustByName("dedup"), Threads: 2}
+	spec := Alone(testCfg, workload.MustByName("dedup"), 2, 0)
 	r.Warm([]Spec{spec})
-	r.RunSingle(spec)
+	r.Run(spec)
 	st := r.Stats()
 	if st.Simulations != 1 || st.MemoHits != 1 {
 		t.Fatalf("stats = %+v, want 1 sim and 1 hit", st)

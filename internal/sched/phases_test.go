@@ -26,11 +26,11 @@ func TestPhaseAccounting(t *testing.T) {
 	app := workload.MustByName("ferret")
 
 	r.RunBatchIn(BatchInfo{Phase: "probe"}, []Spec{
-		SingleSpec{App: app, Threads: 1},
-		SingleSpec{App: app, Threads: 2},
+		Alone(testCfg, app, 1, 0),
+		Alone(testCfg, app, 2, 0),
 	})
-	r.RunBatch([]Spec{SingleSpec{App: app, Threads: 4}}) // unlabeled -> "sim"
-	r.RunSingle(SingleSpec{App: app, Threads: 8})        // outside any batch -> "sim"
+	r.RunBatch([]Spec{Alone(testCfg, app, 4, 0)}) // unlabeled -> "sim"
+	r.Run(Alone(testCfg, app, 8, 0))              // outside any batch -> "sim"
 
 	st := r.Stats()
 	ph := phaseByName(st)
@@ -49,7 +49,7 @@ func TestPhaseAccounting(t *testing.T) {
 		t.Errorf("simulation phase seconds %v != BusySeconds %v (must share one measurement)",
 			sum, st.BusySeconds)
 	}
-	// Queue wait: one entry per batched item (the direct RunSingle never
+	// Queue wait: one entry per batched item (the direct Run never
 	// queued).
 	if got := ph[PhaseQueueWait].Count; got != 3 {
 		t.Errorf("queue-wait count = %d, want 3", got)
@@ -66,8 +66,8 @@ func TestPhaseAccounting(t *testing.T) {
 	// directly).
 	before := phaseByName(r.Stats())
 	r.RunBatchIn(BatchInfo{Phase: "probe"}, []Spec{
-		SingleSpec{App: app, Threads: 1},
-		SingleSpec{App: app, Threads: 2},
+		Alone(testCfg, app, 1, 0),
+		Alone(testCfg, app, 2, 0),
 	})
 	after := phaseByName(r.Stats())
 	if before["probe"].Count != after["probe"].Count {
@@ -86,8 +86,8 @@ func TestPhaseDiskAccounting(t *testing.T) {
 	r := New(Options{Scale: 5e-4, Parallelism: 2, CacheDir: dir})
 	app := workload.MustByName("fop")
 	r.RunBatch([]Spec{
-		SingleSpec{App: app, Threads: 1},
-		SingleSpec{App: app, Threads: 2},
+		Alone(testCfg, app, 1, 0),
+		Alone(testCfg, app, 2, 0),
 	})
 	ph := phaseByName(r.Stats())
 	if ph[PhaseDiskLoad].Count != 2 || ph[PhaseDiskSave].Count != 2 {
@@ -97,7 +97,7 @@ func TestPhaseDiskAccounting(t *testing.T) {
 
 	// A second runner on the same directory loads instead of simulating.
 	r2 := New(Options{Scale: 5e-4, Parallelism: 2, CacheDir: dir})
-	r2.RunBatch([]Spec{SingleSpec{App: app, Threads: 1}})
+	r2.RunBatch([]Spec{Alone(testCfg, app, 1, 0)})
 	ph2 := phaseByName(r2.Stats())
 	if ph2[PhaseDiskLoad].Count != 1 || ph2[PhaseDiskSave].Count != 0 {
 		t.Errorf("disk phases after warm run: load %d save %d, want 1 and 0",
@@ -114,9 +114,9 @@ func TestPhaseDiskAccounting(t *testing.T) {
 func TestStatsDeltaPhases(t *testing.T) {
 	r := New(Options{Scale: 5e-4, Parallelism: 2})
 	app := workload.MustByName("batik")
-	r.RunBatchIn(BatchInfo{Phase: "probe"}, []Spec{SingleSpec{App: app, Threads: 1}})
+	r.RunBatchIn(BatchInfo{Phase: "probe"}, []Spec{Alone(testCfg, app, 1, 0)})
 	before := r.Stats()
-	r.RunBatchIn(BatchInfo{Phase: "resim"}, []Spec{SingleSpec{App: app, Threads: 2}})
+	r.RunBatchIn(BatchInfo{Phase: "resim"}, []Spec{Alone(testCfg, app, 2, 0)})
 	d := r.Stats().Delta(before)
 
 	ph := phaseByName(d)
@@ -145,8 +145,8 @@ func TestTracerBatchSpans(t *testing.T) {
 
 	root := tr.Start("run", 0)
 	r.RunBatchIn(BatchInfo{Span: root.ID(), Phase: "probe"}, []Spec{
-		SingleSpec{App: app, Threads: 1},
-		SingleSpec{App: app, Threads: 2},
+		Alone(testCfg, app, 1, 0),
+		Alone(testCfg, app, 2, 0),
 	})
 	root.End()
 

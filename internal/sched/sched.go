@@ -106,14 +106,14 @@ func (o Options) parallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Spec is one runnable scenario. MixSpec is the general form — an
-// arbitrary N-job mix — and SingleSpec, PairSpec, and MultiSpec are
-// thin wrappers that build the canonical §5 mixes, so every spec type
-// executes through one path and equivalent configurations share one
-// memo entry. A spec fully determines its simulation — the machine is
-// built fresh per run and every rng stream is named by spec fields — so
-// running a spec is a pure function and results can be memoized and
-// computed on any worker.
+// Spec is one runnable scenario. MixSpec — an arbitrary N-job mix — is
+// the one implementation; Alone, Pair, and Multi build the canonical §5
+// shapes as mixes, so every run executes through one path and
+// equivalent configurations share one memo entry. A spec fully
+// determines its simulation — the machine is built fresh per run and
+// every rng stream is named by spec fields — so running a spec is a
+// pure function and results can be memoized and computed on any
+// worker.
 type Spec interface {
 	// memoKey returns the memoization key, or "" when the run must not
 	// be memoized (e.g. a Setup hook closing over external state).
@@ -440,158 +440,6 @@ func resultApps(res *machine.Result) string {
 		sb.WriteString(res.Jobs[i].Name)
 	}
 	return sb.String()
-}
-
-// SingleSpec describes an application running alone. It is a thin
-// wrapper over the general MixSpec: a one-job mix with pack placement
-// from slot 0 and the first Ways LLC ways.
-type SingleSpec struct {
-	App     *workload.Profile
-	Threads int // capped by the profile's MaxThreads
-	Ways    int // LLC ways allocated to it (0 = all 12)
-	// Prefetch overrides the platform prefetcher configuration.
-	Prefetch *prefetch.Config
-}
-
-// toMix builds the scenario this spec denotes. Threads fill both
-// hyperthreads of each core before the next core (the paper's
-// assignment order).
-func (s SingleSpec) toMix(r *Runner) MixSpec {
-	threads := CapThreads(s.App, s.Threads)
-	slots := make([]int, threads)
-	for i := range slots {
-		slots[i] = i // slot order = HT0/HT1 of core 0, then core 1, ...
-	}
-	if s.Ways < 0 || s.Ways > r.opt.machineConfig().Hier.LLC.Assoc {
-		panic(fmt.Sprintf("sched: invalid single allocation of %d ways", s.Ways))
-	}
-	return MixSpec{
-		Jobs: []MixJob{{
-			App: s.App, Threads: threads, Slots: slots,
-			Seed: "single", WayLim: s.Ways,
-		}},
-		Prefetch: s.Prefetch,
-	}
-}
-
-func (s SingleSpec) memoKey(r *Runner) string { return s.toMix(r).memoKey(r) }
-
-func (s SingleSpec) execute(r *Runner) *machine.Result { return s.toMix(r).execute(r) }
-
-// RunSingle executes an application alone on the machine: threads fill
-// both hyperthreads of each core before the next core (the paper's
-// assignment order), and every core the app runs on gets the first Ways
-// LLC ways. Results are memoized.
-func (r *Runner) RunSingle(s SingleSpec) *machine.Result {
-	return r.Run(s)
-}
-
-// PairMode selects how a foreground/background pair is run.
-type PairMode int
-
-const (
-	// BackgroundLoop restarts the background job continuously; the run
-	// ends when the foreground completes (Figs 8, 9, 12, 13).
-	BackgroundLoop PairMode = iota
-	// BothOnce runs both jobs exactly once; the run ends when both have
-	// completed (Figs 10, 11 energy/throughput vs sequential).
-	BothOnce
-)
-
-// PairSpec describes a co-scheduled foreground/background pair. The
-// foreground is pinned to cores 0-1 (4 hyperthreads), the background to
-// cores 2-3, matching §5's placement.
-type PairSpec struct {
-	Fg, Bg *workload.Profile
-	// FgWays/BgWays give each side's LLC allocation. Both zero = fully
-	// shared cache (no partitioning). Non-zero values must sum to at
-	// most the LLC associativity; the masks are disjoint: the
-	// foreground gets the low ways, the background the high ways.
-	FgWays, BgWays int
-	Mode           PairMode
-	// Setup, if non-nil, runs after jobs are scheduled and before the
-	// run starts; the dynamic partitioning controller hooks in here.
-	// Runs with a Setup hook are not memoized (the hook may close over
-	// external state), but they may still be batched: each batched run
-	// gets its own machine, and RunBatch's completion barrier makes the
-	// hook's writes visible to the caller.
-	Setup func(m *machine.Machine, fg, bg *machine.Job)
-	// PolicyKey declares the Setup hook a pure function of the pair and
-	// this online-policy identity, making the run memoizable (see
-	// MixSpec.PolicyKey).
-	PolicyKey string
-	// Prefetch overrides the platform prefetcher configuration.
-	Prefetch *prefetch.Config
-}
-
-// toMix builds the scenario this spec denotes: a two-job pack-placed
-// mix, the foreground in the low ways and the background in the high
-// ways when a static split is given.
-func (s PairSpec) toMix(r *Runner) MixSpec {
-	cfg := r.opt.machineConfig()
-	assoc := cfg.Hier.LLC.Assoc
-	var fgFirst, fgLim, bgFirst, bgLim int
-	switch {
-	case s.FgWays == 0 && s.BgWays == 0:
-		// Fully shared: both sides may replace anywhere.
-	case s.FgWays > 0 && s.BgWays > 0 && s.FgWays+s.BgWays <= assoc:
-		fgFirst, fgLim = 0, s.FgWays
-		bgFirst, bgLim = assoc-s.BgWays, assoc
-	default:
-		panic(fmt.Sprintf("sched: invalid pair partition %d+%d ways of %d",
-			s.FgWays, s.BgWays, assoc))
-	}
-	mix := MixSpec{
-		Jobs: []MixJob{
-			{App: s.Fg, Threads: CapThreads(s.Fg, 4), Slots: cfg.SlotsForCores(0, 1),
-				Seed: "fg", WayFirst: fgFirst, WayLim: fgLim},
-			{App: s.Bg, Threads: CapThreads(s.Bg, 4), Slots: cfg.SlotsForCores(2, 3),
-				Background: s.Mode == BackgroundLoop,
-				Seed:       "bg", WayFirst: bgFirst, WayLim: bgLim},
-		},
-		Prefetch: s.Prefetch,
-	}
-	if s.Setup != nil {
-		setup := s.Setup
-		mix.Setup = func(m *machine.Machine, jobs []*machine.Job) {
-			setup(m, jobs[0], jobs[1])
-		}
-		mix.PolicyKey = s.PolicyKey
-	}
-	return mix
-}
-
-func (s PairSpec) memoKey(r *Runner) string { return s.toMix(r).memoKey(r) }
-
-func (s PairSpec) execute(r *Runner) *machine.Result { return s.toMix(r).execute(r) }
-
-// RunPair executes a pair scenario. Runs with a Setup hook are not
-// memoized (the hook may close over external state).
-func (r *Runner) RunPair(s PairSpec) *machine.Result {
-	return r.Run(s)
-}
-
-// AloneHalf returns the foreground baseline of §5.1: the application
-// alone on 2 cores / 4 hyperthreads with the full LLC.
-func (r *Runner) AloneHalf(app *workload.Profile) *machine.Result {
-	return r.RunSingle(AloneHalfSpec(app))
-}
-
-// AloneHalfSpec is the spec AloneHalf runs, exposed so drivers can
-// batch the baseline together with the sweeps that normalize to it.
-func AloneHalfSpec(app *workload.Profile) SingleSpec {
-	return SingleSpec{App: app, Threads: 4}
-}
-
-// AloneWhole returns the sequential baseline of §5.3: the application
-// alone on the whole machine (8 hyperthreads, full LLC).
-func (r *Runner) AloneWhole(app *workload.Profile) *machine.Result {
-	return r.RunSingle(AloneWholeSpec(app))
-}
-
-// AloneWholeSpec is the spec AloneWhole runs.
-func AloneWholeSpec(app *workload.Profile) SingleSpec {
-	return SingleSpec{App: app, Threads: 8}
 }
 
 // CapThreads returns want clamped to [1, p.MaxThreads] — the rule every

@@ -45,7 +45,7 @@ func TestMemoShardSpread(t *testing.T) {
 // the singleflight guarantee.
 func TestShardedSingleflight(t *testing.T) {
 	r := New(Options{Scale: QuickScale, Parallelism: 8})
-	spec := SingleSpec{App: workload.MustByName("429.mcf"), Threads: 2, Ways: 4}
+	spec := Alone(testCfg, workload.MustByName("429.mcf"), 2, 4)
 	var wg sync.WaitGroup
 	results := make([]any, 16)
 	for i := range results {

@@ -42,7 +42,7 @@ func TestStatsPollDuringRun(t *testing.T) {
 	specs := make([]Spec, 0, 8)
 	for threads := 1; threads <= 4; threads++ {
 		for _, ways := range []int{0, 6} {
-			specs = append(specs, SingleSpec{App: app, Threads: threads, Ways: ways})
+			specs = append(specs, Alone(testCfg, app, threads, ways))
 		}
 	}
 	// Submit the batch twice: the second pass lands entirely on the memo

@@ -13,7 +13,7 @@ import (
 )
 
 func storeSpec() Spec {
-	return SingleSpec{App: workload.MustByName("429.mcf"), Threads: 2, Ways: 4}
+	return Alone(testCfg, workload.MustByName("429.mcf"), 2, 4)
 }
 
 // A fresh runner pointed at a warm cache directory must serve the run
@@ -81,7 +81,7 @@ func TestDiskStoreWriteFailureWarnsAndContinues(t *testing.T) {
 	}
 
 	// A second failing write stays quiet: the warning is once per runner.
-	r.Run(SingleSpec{App: workload.MustByName("ferret"), Threads: 2, Ways: 4})
+	r.Run(Alone(testCfg, workload.MustByName("ferret"), 2, 4))
 	if warn.String() != first {
 		t.Fatalf("second failure warned again:\n%q", warn.String())
 	}
@@ -172,7 +172,7 @@ func TestDiskStoreBatchParallel(t *testing.T) {
 	bg := workload.MustByName("ferret")
 	var specs []Spec
 	for w := 2; w <= 10; w += 2 {
-		specs = append(specs, PairSpec{Fg: app, Bg: bg, FgWays: w, BgWays: 12 - w})
+		specs = append(specs, Pair(testCfg, app, bg, w, 12-w, true))
 	}
 	cold := New(Options{Scale: QuickScale, CacheDir: dir, Parallelism: 4}).RunBatch(specs)
 	warmRunner := New(Options{Scale: QuickScale, CacheDir: dir, Parallelism: 4})
